@@ -468,8 +468,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="s3flow", description="curvature flows of surfaces in the 3-sphere"
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (informational; computation is vectorized)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario from a config file")

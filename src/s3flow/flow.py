@@ -40,9 +40,6 @@ class StopReason(enum.Enum):
     MESH_DEGENERATE = "MeshDegenerate"
 
 
-HEALTHY_STOPS = (StopReason.CONVERGED, StopReason.EXTINCT, StopReason.TIME_EXHAUSTED)
-
-
 @dataclass
 class FlowConfig:
     """Run parameters; ``dt`` fixes the step, otherwise CFL with factor sigma."""
@@ -103,9 +100,6 @@ class FlowResult:
     snapshots: list
     final: FlowState
     reason: StopReason
-
-    def column(self, name):
-        return np.array([getattr(r, name) for r in self.reports])
 
 
 def omega_epsilon_member(k1, k2, eps):

@@ -78,58 +78,62 @@ def padded(x):
     return np.concatenate([x, np.zeros((1,) + x.shape[1:])])
 
 
+def group(keys, values, n, pad):
+    """Table whose row k lists, ascending, the values paired with key k.
+
+    ``keys`` lie in 0..n-1 and ``values`` in 0..pad-1; rows are padded with
+    ``pad`` to the longest.  Returns (table, counts), counts[k] being the
+    length of row k.
+    """
+    keys, values = np.divmod(np.sort(keys * np.int64(pad) + values), pad)
+    counts = np.bincount(keys, minlength=n)
+    rank = np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys]
+    table = np.full((n, int(counts.max(initial=0))), pad, dtype=np.int64)
+    table[keys, rank] = values
+    return table, counts
+
+
 class _Topology:
-    """Connectivity caches shared between meshes with identical triangles."""
+    """Connectivity caches shared between meshes with identical triangles.
+
+    ``one_ring_padded`` and ``two_ring_padded`` list the neighbours of each
+    vertex, and of its neighbours, without the vertex itself; rows are
+    ascending and padded with the index n_vertices, which points at the zero
+    row that :func:`padded` appends: a zero neighbour has zero tangent
+    coordinates, so it adds nothing to the fit or to the smoothing.
+    ``one_ring_counts`` and ``ring_counts`` give the row lengths.
+    ``vertex_faces`` lists the triangles around each vertex, padded with the
+    index m of a zero row.  ``edges`` lists each undirected edge (a, b) once,
+    with a < b, in lexicographic order.
+    """
 
     def __init__(self, triangles, n_vertices):
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.n_vertices = int(n_vertices)
-        validate_topology(self.triangles, self.n_vertices)
+        self.n_vertices = n = int(n_vertices)
+        validate_topology(self.triangles, n)
         tri = self.triangles
-        e = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-        und = np.sort(e, axis=1)
-        self.edges = np.unique(und, axis=0)
+        a, b = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]).T
+        # on a closed orientable mesh each edge runs once in each direction,
+        # so the edges leaving a vertex name each of its neighbours once
+        one, self.one_ring_counts = group(a, b, n, n)
+        self.one_ring_padded = one
+        v = np.repeat(np.arange(n), self.one_ring_counts)
+        u = one[one < n]  # row by row: the directed edges v -> u, sorted
+        self.edges = np.stack([v, u], axis=1)[v < u]
 
-        ring = [[] for _ in range(self.n_vertices)]
-        for a, b in e:
-            ring[a].append(b)
-        self.one_ring = [np.array(sorted(set(r)), dtype=np.int64) for r in ring]
+        # the two-ring: the one-rings of v and of its neighbours, with v and
+        # repeats padded out, sorted to the front of each row
+        pad_row = np.full((1, one.shape[1]), n)
+        cand = np.concatenate([one, np.concatenate([one, pad_row])[one].reshape(n, -1)], axis=1)
+        cand[cand == np.arange(n)[:, None]] = n
+        cand.sort(axis=1)
+        cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = n
+        cand.sort(axis=1)
+        self.ring_counts = np.count_nonzero(cand < n, axis=1)
+        self.two_ring_padded = cand[:, :self.ring_counts.max(initial=0)].copy()
 
-        two = []
-        for v, r1 in enumerate(self.one_ring):
-            s = set(r1.tolist())
-            for u in r1:
-                s.update(self.one_ring[u].tolist())
-            s.discard(v)
-            two.append(np.array(sorted(s), dtype=np.int64))
-        self.two_ring = two
-
-        # Rings are padded with the index n_vertices, which points at the zero
-        # row that :func:`padded` appends: a zero neighbour has zero tangent
-        # coordinates, so it adds nothing to the fit or to the smoothing.
-        self.ring_counts = np.array([len(r) for r in two], dtype=np.int64)
-        self.two_ring_padded = self._pad(two)
-        self.one_ring_counts = np.array([len(r) for r in self.one_ring], dtype=np.int64)
-        self.one_ring_padded = self._pad(self.one_ring)
-
-        # vertex_faces[v] lists the triangles around vertex v, padded with
-        # the index m of a zero row
         corners = tri.ravel()
-        order = np.argsort(corners, kind="stable")
-        valence = np.bincount(corners, minlength=self.n_vertices)
-        first = np.cumsum(valence) - valence
-        rank = np.arange(len(order)) - first[corners[order]]
-        width = int(valence.max(initial=0))
-        table = np.full((self.n_vertices, width), len(tri), dtype=np.int64)
-        table[corners[order], rank] = order // 3
-        self.vertex_faces = table
-
-    def _pad(self, rings):
-        width = max((len(r) for r in rings), default=0)
-        out = np.full((self.n_vertices, width), self.n_vertices, dtype=np.int64)
-        for v, r in enumerate(rings):
-            out[v, : len(r)] = r
-        return out
+        self.vertex_faces, _ = group(corners, np.arange(len(corners)) // 3, n, len(tri))
 
     def euler_characteristic(self):
         return self.n_vertices - len(self.edges) + len(self.triangles)
@@ -469,8 +473,7 @@ def make_hopf_torus(curve, n_fiber):
 
     For each curve sample the full Hopf fiber circle is sampled ``n_fiber``
     times; the lift is chosen continuously along the curve and the fiber
-    phase is sheared to absorb the lift holonomy so the seam closes.  The
-    holonomy angle is stored on the returned mesh as ``hopf_holonomy``.
+    phase is sheared to absorb the lift holonomy so the seam closes.
     The preimage of any curve is intrinsically flat (G = 0).
     """
     samples = np.asarray(getattr(curve, "samples", curve), dtype=float)
@@ -529,9 +532,7 @@ def make_hopf_torus(curve, n_fiber):
     nrm = normalize(cross4(grid, t_fib, t_base)).reshape(-1, 4)
 
     tris = _oriented(verts, _grid_torus_triangles(n_curve, n_fiber), nrm)
-    m = SurfaceMesh(verts, tris, normals=nrm, grid_shape=(n_curve, n_fiber))
-    m.hopf_holonomy = holonomy
-    return m
+    return SurfaceMesh(verts, tris, normals=nrm, grid_shape=(n_curve, n_fiber))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +549,8 @@ class CurvatureData:
     G = 1 + kappa1 * kappa2 is the intrinsic curvature from the Gauss
     equation, identically equal to 1 + H**2/2 - normA2/2.
     ``flagged`` marks vertices whose fit was ill-conditioned or starved of
-    neighbours; their scalars are inherited from one-ring averages.
+    neighbours; their scalars are inherited from one-ring averages.  The
+    principal directions are not kept: the flow reads curvature values only.
     """
 
     kappa1: np.ndarray
@@ -556,7 +558,6 @@ class CurvatureData:
     H: np.ndarray = field(init=False)
     normA2: np.ndarray = field(init=False)
     G: np.ndarray = field(init=False)
-    principal_dirs: np.ndarray = None  # (n, 2, 4)
     flagged: np.ndarray = None
 
     def __post_init__(self):
@@ -753,23 +754,12 @@ def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4) -> CurvatureD
     kappa1 = mean + delta
     kappa2 = mean - delta
 
-    # principal directions: eigenvectors of the 2x2 operator, mapped to R4
-    w1 = np.stack([s12, kappa1 - s11], axis=-1)
-    w2 = np.stack([kappa1 - s22, s12], axis=-1)
-    pick = np.einsum("ni,ni->n", w1, w1) >= np.einsum("ni,ni->n", w2, w2)
-    vec = np.where(pick[:, None], w1, w2)
-    vn = np.linalg.norm(vec, axis=1)
-    umb = vn < 1e-14
-    vec = np.where(umb[:, None], np.array([1.0, 0.0]), vec / np.maximum(vn, 1e-300)[:, None])
-    d1 = vec[:, 0:1] * e1 + vec[:, 1:2] * e2
-    d2 = -vec[:, 1:2] * e1 + vec[:, 0:1] * e2
-
     if np.any(flagged):
         k1f = kappa1.copy()
         k2f = kappa2.copy()
         good = ~flagged
         for i in np.flatnonzero(flagged):
-            ring = topo.one_ring[i]
+            ring = topo.one_ring_padded[i, :topo.one_ring_counts[i]]
             ok = ring[good[ring]]
             if len(ok):
                 k1f[i] = float(np.mean(kappa1[ok]))
@@ -779,10 +769,4 @@ def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4) -> CurvatureD
                 k2f[i] = 0.0
         kappa1, kappa2 = k1f, k2f
 
-    dirs = np.stack([d1, d2], axis=1)
-    return CurvatureData(
-        kappa1=kappa1,
-        kappa2=kappa2,
-        principal_dirs=dirs,
-        flagged=flagged,
-    )
+    return CurvatureData(kappa1=kappa1, kappa2=kappa2, flagged=flagged)

@@ -231,18 +231,18 @@ def run_csf(curve: S2Curve, t_end, dt=None, sigma=0.25, resample=True,
 def sup_subinterval_cyclic(values):
     """sup over contiguous cyclic subintervals of |sum of values|.
 
-    Computed as the prefix-sum span (max prefix - min prefix) of the
-    cyclic sequence, maximized over all cyclic starting offsets; equals
-    the brute-force maximum over all O(n^2) subintervals exactly.
+    With prefix sums P (P_0 = 0) and total T, a subinterval that does not
+    wrap sums to P_j - P_i, and one that wraps to T - P_j + P_i with i <= j;
+    the largest |sum| is therefore the larger of the prefix-sum span
+    max P - min P and the extremes of T - P_j + (running max or min of P up
+    to j).  O(n), and equal to the brute-force maximum over all O(n^2)
+    subintervals up to round-off.
     """
-    a = np.asarray(values, dtype=float)
-    n = len(a)
-    best = 0.0
-    doubled = np.concatenate([a, a])
-    for off in range(n):
-        pref = np.concatenate([[0.0], np.cumsum(doubled[off:off + n])])
-        best = max(best, float(pref.max() - pref.min()))
-    return best
+    p = np.concatenate([[0.0], np.cumsum(np.asarray(values, dtype=float))])
+    wrap = p[-1] - p
+    return float(max(p.max() - p.min(),
+                     np.max(wrap + np.maximum.accumulate(p)),
+                     -np.min(wrap + np.minimum.accumulate(p))))
 
 
 @dataclass

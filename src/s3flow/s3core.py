@@ -15,8 +15,6 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 QUAT_ONE = np.array([1.0, 0.0, 0.0, 0.0])
@@ -99,17 +97,6 @@ def geodesic_step(x, d, s):
     s = np.asarray(s, dtype=float)[..., None]
     out = np.cos(s) * x + np.sin(s) * d
     return normalize(out)
-
-
-def geodesic_transport(x, d, s):
-    """Parallel transport of d along its own great circle through arclength s.
-
-    The transported direction is -sin(s) x + cos(s) d.
-    """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    s = np.asarray(s, dtype=float)[..., None]
-    return -np.sin(s) * x + np.cos(s) * d
 
 
 def geodesic_distance(a, b):
@@ -203,55 +190,3 @@ def orthonormal_tangent_basis(c):
         if len(basis) == 3:
             break
     return np.array(basis)
-
-
-def check_s3point(q, tol=1e-12):
-    """Raise if q is not a unit 4-vector within tol."""
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1] != 4:
-        raise ValueError("S3 points are 4-vectors")
-    dev = unit_deviation(q)
-    if dev > tol:
-        raise ValueError(f"not on S3: |norm - 1| = {dev:.3e} > {tol:.1e}")
-    return q
-
-
-def check_s2point(p, tol=1e-12):
-    """Raise if p is not a unit 3-vector within tol."""
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1] != 3:
-        raise ValueError("S2 points are 3-vectors")
-    dev = unit_deviation(p)
-    if dev > tol:
-        raise ValueError(f"not on S2: |norm - 1| = {dev:.3e} > {tol:.1e}")
-    return p
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A 4-vector attached to a base point of S3, orthogonal to it.
-
-    ``dir`` need not be unit (normals are, general tangents are not);
-    orthogonality to the base point is enforced to 1e-10.
-    """
-
-    base: np.ndarray
-    dir: np.ndarray
-
-    def __post_init__(self):
-        base = check_s3point(self.base, tol=1e-10)
-        d = np.asarray(self.dir, dtype=float)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "dir", d)
-        if abs(float(np.dot(d, base))) > 1e-10:
-            raise ValueError(
-                f"tangent not orthogonal to base: <dir, base> = {np.dot(d, base):.3e}"
-            )
-
-    def normalized(self):
-        return TangentVector(self.base, normalize(self.dir))
-
-
-def geodesic_step_tv(v: TangentVector, s: float):
-    """``geodesic_step`` for a bundled (base, dir) pair with unit dir."""
-    return geodesic_step(v.base, v.dir, s)

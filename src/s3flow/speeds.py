@@ -39,10 +39,6 @@ from typing import Callable
 import numpy as np
 
 
-class DomainWarning(UserWarning):
-    """A speed was evaluated outside its domain of interest (G < 0)."""
-
-
 class PhiDegenerateWarning(UserWarning):
     """|phi'| = 1: one admissibility bound is unbounded."""
 
@@ -70,16 +66,15 @@ class SpeedFunction:
     func : callable (k1, k2) -> F, vectorized
     partials : callable, optional
         (k1, k2) -> (dF/dk1, dF/dk2); central differences when omitted.
-    domain_ok : callable, optional
-        Predicate marking the domain of interest in the curvature plane.
+    params : tuple, optional
+        Constructor arguments, shown in the repr.
     """
 
-    def __init__(self, name, func, partials=None, domain_ok=None, params=()):
+    def __init__(self, name, func, partials=None, params=()):
         self.name = name
         self.params = tuple(params)
         self._func = func
         self._partials = partials
-        self._domain_ok = domain_ok
 
     def __repr__(self):
         return f"SpeedFunction({self.name}{self.params if self.params else ''})"
@@ -98,16 +93,6 @@ class SpeedFunction:
             return self._partials(k1, k2)
         return _fd_partials(self._func, k1, k2)
 
-    def domain_ok(self, k1, k2):
-        if self._domain_ok is None:
-            return np.ones(np.broadcast(np.asarray(k1), np.asarray(k2)).shape, dtype=bool)
-        return self._domain_ok(k1, k2)
-
-
-def speed_mcf(k1, k2):
-    """Mean curvature H = kappa1 + kappa2."""
-    return np.asarray(k1, dtype=float) + np.asarray(k2, dtype=float)
-
 
 def _arctan_value(k1, k2):
     prod = k1 * k2
@@ -117,22 +102,6 @@ def _arctan_value(k1, k2):
         s * (np.pi / 4.0) * (prod + 1.0),
         np.arctan(k1) + np.arctan(k2),
     )
-
-
-def speed_arctan(k1, k2):
-    """The piecewise arctan speed (odd reflection on the negative branch).
-
-    Warns (:class:`DomainWarning`) when evaluated where G = 1 + k1 k2 < 0.
-    """
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    if np.any(1.0 + k1 * k2 < 0.0):
-        warnings.warn(
-            "arctan speed evaluated at negative intrinsic curvature",
-            DomainWarning,
-            stacklevel=2,
-        )
-    return _arctan_value(k1, k2)
 
 
 def _arctan_partials(k1, k2):
@@ -145,18 +114,15 @@ def _arctan_partials(k1, k2):
 
 
 def mcf():
+    """Mean curvature flow, F = H = kappa1 + kappa2."""
     return SpeedFunction(
-        "mcf", speed_mcf, partials=lambda k1, k2: (np.ones_like(k1 * 1.0), np.ones_like(k2 * 1.0))
+        "mcf", np.add, partials=lambda k1, k2: (np.ones_like(k1 * 1.0), np.ones_like(k2 * 1.0))
     )
 
 
 def arctan_speed():
-    return SpeedFunction(
-        "arctan",
-        _arctan_value,
-        partials=_arctan_partials,
-        domain_ok=lambda k1, k2: 1.0 + k1 * k2 >= 0.0,
-    )
+    """The piecewise arctan speed (odd reflection on the negative branch)."""
+    return SpeedFunction("arctan", _arctan_value, partials=_arctan_partials)
 
 
 def affine_arctan(c1, c2):

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from s3flow import flow
 from s3flow.cli import (
     ConfigError,
     build_curve,
@@ -216,6 +217,36 @@ def test_flow_scenario_exports_and_reproducibility(tmp_path):
     back = import_raw4(str(snaps[0]))
     assert back.n_vertices == 162
     assert (out1 / "tiny-flow" / "snapshot_00000.vtk").exists()
+
+
+def test_condition_breached_exits_2(tmp_path):
+    # the discrete Clifford torus has min_G just below zero, so a floor of
+    # 1e-9 is breached at step 0
+    p = tmp_path / "cfg.cfg"
+    p.write_text(
+        "[clifford]\nkind = flow\nsurface = clifford nu=32 nv=32\nspeed = arctan\n"
+        "t_end = 0.01\ng_floor = 1e-9\n"
+    )
+    assert main(["run", str(p), "clifford", "--output-dir", str(tmp_path)]) == 2
+    summary = (tmp_path / "clifford" / "summary").read_text()
+    assert "stop_reason: ConditionBreached" in summary
+    assert "steps: 0\n" in summary
+
+
+def test_mesh_degenerate_exits_3(tmp_path, monkeypatch):
+    def collapse(mesh):
+        raise flow.MeshDegenerateError("edge collapsed")
+
+    monkeypatch.setattr(flow, "_check_degeneracy", collapse)
+    p = tmp_path / "cfg.cfg"
+    p.write_text(
+        "[sphere]\nkind = flow\nsurface = geodesic_sphere r=1.0 level=2\n"
+        "speed = mcf\nt_end = 0.01\n"
+    )
+    assert main(["run", str(p), "sphere", "--output-dir", str(tmp_path)]) == 3
+    summary = (tmp_path / "sphere" / "summary").read_text()
+    assert "stop_reason: MeshDegenerate" in summary
+    assert "steps: 0\n" in summary
 
 
 def test_export_verb_round_trip(tmp_path):

@@ -87,26 +87,6 @@ def test_clifford_torus_curvature():
     np.testing.assert_allclose(c.G, 0.0, atol=2e-2)
 
 
-def test_clifford_principal_directions_align_with_factors():
-    m = make_clifford_torus(32, 32)
-    c = estimate_curvature(m)
-    uu = 2 * np.pi * np.arange(32) / 32
-    U = np.repeat(uu, 32)
-    V = np.tile(2 * np.pi * np.arange(32) / 32, 32)
-    t_u = np.stack([-np.sin(U), np.cos(U), np.zeros_like(U), np.zeros_like(U)], axis=-1)
-    t_v = np.stack([np.zeros_like(V), np.zeros_like(V), -np.sin(V), np.cos(V)], axis=-1)
-    cos5 = np.cos(np.radians(5.0))
-    d1, d2 = c.principal_dirs[:, 0], c.principal_dirs[:, 1]
-    a11 = np.abs(np.sum(d1 * t_u, axis=1))
-    a12 = np.abs(np.sum(d1 * t_v, axis=1))
-    a21 = np.abs(np.sum(d2 * t_u, axis=1))
-    a22 = np.abs(np.sum(d2 * t_v, axis=1))
-    # each principal direction lines up with one of the two circle factors
-    assert np.all(np.maximum(a11, a12) > cos5)
-    assert np.all(np.maximum(a21, a22) > cos5)
-    assert np.all((a11 > cos5) != (a12 > cos5))
-
-
 def test_clifford_resolution_minimum():
     with pytest.raises(ValueError):
         make_clifford_torus(7, 64)
@@ -197,6 +177,57 @@ def test_vertex_off_sphere_rejected():
         SurfaceMesh(bad, base.triangles, normals=base.normals)
 
 
+def _loop_topology(tris, n):
+    """The connectivity tables built vertex by vertex with Python sets:
+    the reference for the vectorised build in _Topology."""
+    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    one = [set() for _ in range(n)]
+    for a, b in e:
+        one[a].add(b)
+    two = []
+    for v in range(n):
+        s = set(one[v])
+        for u in one[v]:
+            s |= one[u]
+        two.append(s - {v})
+    faces = [[] for _ in range(n)]
+    for t, corners in enumerate(tris):
+        for v in corners:
+            faces[v].append(t)
+
+    def table(rows, pad):
+        out = np.full((n, max(len(r) for r in rows)), pad, dtype=np.int64)
+        for v, r in enumerate(rows):
+            out[v, :len(r)] = sorted(r)
+        return out
+
+    return {
+        "one_ring_padded": table(one, n), "one_ring_counts": [len(r) for r in one],
+        "two_ring_padded": table(two, n), "ring_counts": [len(r) for r in two],
+        "vertex_faces": table(faces, len(tris)),
+        "edges": np.unique(np.sort(e, axis=1), axis=0),
+    }
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_geodesic_sphere(1.0, 2),
+    lambda: make_clifford_torus(16, 16),
+    lambda: make_hopf_torus(make_latitude_circle(1.0, 24), 16),
+], ids=["sphere-l2", "clifford-16", "hopf"])
+def test_topology_tables_match_loop_build(build):
+    m = build()
+    topo = m.topology
+    n = m.n_vertices
+    for name, want in _loop_topology(m.triangles, n).items():
+        np.testing.assert_array_equal(getattr(topo, name), want, err_msg=name)
+    for ring, counts in ((topo.one_ring_padded, topo.one_ring_counts),
+                         (topo.two_ring_padded, topo.ring_counts)):
+        filled = np.arange(ring.shape[1]) < counts[:, None]
+        assert np.all(ring[~filled] == n)
+        assert np.all(np.diff(ring, axis=1)[filled[:, 1:]] > 0)
+        assert not np.any(ring == np.arange(n)[:, None])
+
+
 def test_area_of_great_sphere():
     m = make_geodesic_sphere(np.pi / 2, 4)
     np.testing.assert_allclose(m.area(), 4 * np.pi, rtol=2e-3)
@@ -224,7 +255,8 @@ def _lstsq_principal_curvatures(m, order):
     out = np.empty((m.n_vertices, 2))
     for i in range(m.n_vertices):
         x, nu = m.vertices[i], m.normals[i]
-        logs = log_map(x, m.vertices[m.topology.two_ring[i]])
+        ring = m.topology.two_ring_padded[i, :m.topology.ring_counts[i]]
+        logs = log_map(x, m.vertices[ring])
         e1, e2 = np.linalg.svd(np.stack([x, nu]))[2][2:]
         u, v, w = logs @ e1, logs @ e2, logs @ nu
         s = np.sqrt(np.mean(u * u + v * v))
@@ -284,7 +316,7 @@ def test_nonfinite_vertex_inherits_one_ring():
     normals[i] = np.nan
     c = estimate_curvature(m.with_vertices(m.vertices, normals=normals))
     assert np.flatnonzero(c.flagged).tolist() == [i]
-    ring = m.topology.one_ring[i]
+    ring = m.topology.one_ring_padded[i, :m.topology.one_ring_counts[i]]
     assert c.kappa1[i] == pytest.approx(np.mean(c.kappa1[ring]), abs=1e-14)
     assert c.kappa2[i] == pytest.approx(np.mean(c.kappa2[ring]), abs=1e-14)
     others = np.arange(m.n_vertices) != i

@@ -3,7 +3,6 @@ import pytest
 
 from s3flow.speeds import (
     Candidate1D,
-    DomainWarning,
     admissibility_bounds,
     affine_arctan,
     arctan_speed,
@@ -15,9 +14,7 @@ from s3flow.speeds import (
     mcf,
     phi_constant,
     phi_pinch,
-    speed_arctan,
     speed_huisken_monitor,
-    speed_mcf,
     z_term,
 )
 
@@ -30,22 +27,19 @@ F_ARCTAN_HG = hg_from_fH(
 
 
 def test_mcf_values():
-    assert speed_mcf(0.0, 0.0) == 0.0
-    assert speed_mcf(1.0, -1.0) == 0.0  # the Clifford torus is minimal
+    speed = mcf()
+    assert speed(0.0, 0.0) == 0.0
+    assert speed(1.0, -1.0) == 0.0  # the Clifford torus is minimal
     r = np.pi / 4
-    np.testing.assert_allclose(speed_mcf(1 / np.tan(r), 1 / np.tan(r)), 2 / np.tan(r))
+    np.testing.assert_allclose(speed(1 / np.tan(r), 1 / np.tan(r)), 2 / np.tan(r))
 
 
 def test_arctan_values():
-    assert speed_arctan(0.0, 0.0) == 0.0
-    np.testing.assert_allclose(speed_arctan(1.0, 1.0), np.pi / 2, atol=1e-15)
-    np.testing.assert_allclose(speed_arctan(2.0, 1.0), 3 * np.pi / 4, atol=1e-15)
-    np.testing.assert_allclose(speed_arctan(1.0, -1.0), 0.0, atol=1e-15)
-
-
-def test_arctan_domain_warning():
-    with pytest.warns(DomainWarning):
-        speed_arctan(0.5, -3.0)  # G = -0.5
+    speed = arctan_speed()
+    assert speed(0.0, 0.0) == 0.0
+    np.testing.assert_allclose(speed(1.0, 1.0), np.pi / 2, atol=1e-15)
+    np.testing.assert_allclose(speed(2.0, 1.0), 3 * np.pi / 4, atol=1e-15)
+    np.testing.assert_allclose(speed(1.0, -1.0), 0.0, atol=1e-15)
 
 
 def test_arctan_branch_continuity():
