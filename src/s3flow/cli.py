@@ -230,12 +230,9 @@ def export_mesh(mesh: SurfaceMesh, fmt, path, curvature=None, comment=""):
 def _export_raw4(mesh, path, comment):
     with open(path, "w") as fh:
         fh.write(f"# s3flow raw4 {comment}\n")
-        for v in mesh.vertices:
-            fh.write("v," + ",".join(_FLOAT % c for c in v) + "\n")
-        for n in mesh.normals:
-            fh.write("n," + ",".join(_FLOAT % c for c in n) + "\n")
-        for t in mesh.triangles:
-            fh.write("t,%d,%d,%d\n" % tuple(t))
+        np.savetxt(fh, mesh.vertices, fmt="v," + ",".join([_FLOAT] * 4))
+        np.savetxt(fh, mesh.normals, fmt="n," + ",".join([_FLOAT] * 4))
+        np.savetxt(fh, mesh.triangles, fmt="t,%d,%d,%d")
 
 
 def import_raw4(path) -> SurfaceMesh:
@@ -289,10 +286,8 @@ def _export_obj3(mesh, path, comment):
         fh.write(f"# s3flow obj3 {comment}\n")
         fh.write("# stereographic projection pole: %s\n" % (_FLOAT9 % pole[0]
                  + " " + _FLOAT9 % pole[1] + " " + _FLOAT9 % pole[2] + " " + _FLOAT9 % pole[3]))
-        for p in pts:
-            fh.write("v " + " ".join(_FLOAT9 % c for c in p) + "\n")
-        for t in mesh.triangles:
-            fh.write("f %d %d %d\n" % (t[0] + 1, t[1] + 1, t[2] + 1))
+        np.savetxt(fh, pts, fmt="v " + " ".join([_FLOAT9] * 3))
+        np.savetxt(fh, mesh.triangles + 1, fmt="f %d %d %d")
 
 
 def _export_vtk(mesh, curvature, path, comment):
@@ -304,16 +299,13 @@ def _export_vtk(mesh, curvature, path, comment):
         fh.write(f"s3flow snapshot {comment}\n")
         fh.write("ASCII\nDATASET POLYDATA\n")
         fh.write(f"POINTS {len(pts)} float\n")
-        for p in pts:
-            fh.write(" ".join(_FLOAT9 % c for c in p) + "\n")
+        np.savetxt(fh, pts, fmt=" ".join([_FLOAT9] * 3))
         fh.write(f"POLYGONS {len(tri)} {4 * len(tri)}\n")
-        for t in tri:
-            fh.write("3 %d %d %d\n" % tuple(t))
+        np.savetxt(fh, tri, fmt="3 %d %d %d")
         fh.write(f"POINT_DATA {len(pts)}\n")
         for name, vals in (("G", curvature.G), ("H", curvature.H), ("A2", curvature.normA2)):
             fh.write(f"SCALARS {name} float 1\nLOOKUP_TABLE default\n")
-            for x in vals:
-                fh.write(_FLOAT % x + "\n")
+            np.savetxt(fh, vals, fmt=_FLOAT)
 
 
 def export_gauss_csv(mesh, path):
@@ -321,10 +313,8 @@ def export_gauss_csv(mesh, path):
     img = gauss_maps(mesh)
     with open(path, "w") as fh:
         fh.write("map,x,y,z\n")
-        for p in img.left:
-            fh.write("left," + ",".join(_FLOAT % c for c in p) + "\n")
-        for p in img.right:
-            fh.write("right," + ",".join(_FLOAT % c for c in p) + "\n")
+        np.savetxt(fh, img.left, fmt="left," + ",".join([_FLOAT] * 3))
+        np.savetxt(fh, img.right, fmt="right," + ",".join([_FLOAT] * 3))
 
 
 # ---------------------------------------------------------------------------

@@ -45,26 +45,31 @@ class MeshError(ValueError):
 def validate_topology(triangles, n_vertices):
     """Check that triangles form a closed orientable 2-manifold.
 
-    Every undirected edge must be shared by exactly two triangles with
-    opposite orientations.  Raises :class:`MeshError` with a diagnostic
-    naming an offending edge.
+    No triangle may repeat a vertex, and every undirected edge must be
+    shared by exactly two triangles with opposite orientations.  Raises
+    :class:`MeshError` with a diagnostic naming an offending triangle or
+    the smallest offending edge.
     """
     tris = np.asarray(triangles, dtype=np.int64)
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise MeshError("triangles must be an (m, 3) index array")
     if tris.size and (tris.min() < 0 or tris.max() >= n_vertices):
         raise MeshError("triangle index out of range")
+    a, b, c = tris.T
+    repeats = np.flatnonzero((a == b) | (b == c) | (c == a))
+    if repeats.size:
+        raise MeshError(f"triangle {repeats[0]} {tris[repeats[0]].tolist()} repeats a vertex")
     directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    keys = directed[:, 0] * np.int64(n_vertices) + directed[:, 1]
-    uniq, counts = np.unique(keys, return_counts=True)
-    if np.any(counts > 1):
-        k = uniq[np.argmax(counts > 1)]
+    keys = np.sort(directed[:, 0] * np.int64(n_vertices) + directed[:, 1])
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    if repeated.size:
+        k = repeated[0]
         raise MeshError(
             f"inconsistent winding: directed edge ({k // n_vertices}, {k % n_vertices}) "
             "appears in more than one triangle"
         )
-    rev = directed[:, 1] * np.int64(n_vertices) + directed[:, 0]
-    missing = np.setdiff1d(keys, rev, assume_unique=False)
+    rev = np.sort(directed[:, 1] * np.int64(n_vertices) + directed[:, 0])
+    missing = keys[rev[np.minimum(np.searchsorted(rev, keys), len(rev) - 1)] != keys]
     if missing.size:
         k = missing[0]
         raise MeshError(
@@ -304,7 +309,11 @@ def mesh_quality(mesh: SurfaceMesh) -> MeshQualityReport:
 def _icosphere(level):
     """Subdivided icosahedron projected to the unit 2-sphere.
 
-    Returns (dirs, tris) with 10 * 4**level + 2 vertices.
+    Returns (dirs, tris) with 10 * 4**level + 2 vertices.  Each level splits
+    triangle (i, j, k) into (i, a, c), (j, b, a), (k, c, b), (a, b, c), with
+    a, b, c the normalised midpoints of edges ij, jk, ki; the midpoints are
+    numbered after the old vertices in the order the edges first occur,
+    triangle by triangle and ij, jk, ki within a triangle.
     """
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
@@ -326,26 +335,22 @@ def _icosphere(level):
         dtype=np.int64,
     )
     for _ in range(level):
-        vlist = [v for v in verts]
-        cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = vlist[i] + vlist[j]
-                m = m / np.linalg.norm(m)
-                cache[key] = len(vlist)
-                vlist.append(m)
-            return cache[key]
-
-        new_tris = []
-        for i, j, k in tris:
-            a = midpoint(i, j)
-            b = midpoint(j, k)
-            c = midpoint(k, i)
-            new_tris += [[i, a, c], [j, b, a], [k, c, b], [a, b, c]]
-        verts = np.array(vlist)
-        tris = np.array(new_tris, dtype=np.int64)
+        n = len(verts)
+        e = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys = e.min(axis=1) * n + e.max(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(n, n + len(order))
+        ends = e[first[order]]
+        m = verts[ends[:, 0]] + verts[ends[:, 1]]
+        # the norm through matmul rounds as np.linalg.norm does on one
+        # vector; einsum and (m * m).sum(1) differ from it in the last bit
+        m = m / np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+        verts = np.concatenate([verts, m])
+        i, j, k = tris.T
+        a, b, c = number[inverse.reshape(-1, 3)].T
+        tris = np.stack([i, a, c, j, b, a, k, c, b, a, b, c], axis=1).reshape(-1, 3)
     return normalize(verts), tris
 
 

@@ -22,7 +22,8 @@ class S2Curve:
     """A closed polyline on S2 (cyclic samples, piecewise-geodesic).
 
     Samples must be unit 3-vectors with consecutive geodesic gaps between
-    1e-8 and 0.5 radians; at least 8 samples.
+    1e-8 and 0.5 radians; at least 8 samples.  ``gaps[i]`` is the geodesic
+    length of the segment from sample i to sample i + 1 (cyclically).
     """
 
     def __init__(self, samples):
@@ -40,19 +41,19 @@ class S2Curve:
         if gaps.max() > 0.5:
             raise ValueError(f"segment too long ({gaps.max():.3f} rad > 0.5)")
         self.samples = s
+        self.gaps = gaps
 
     def __len__(self):
         return len(self.samples)
 
     def length(self):
-        return float(np.sum(geodesic_distance(self.samples, np.roll(self.samples, -1, axis=0))))
+        return float(np.sum(self.gaps))
 
 
 def save_curve_csv(curve: S2Curve, path):
     """Write the samples as CSV, one unit 3-vector per row (17 digits)."""
     with open(path, "w") as fh:
-        for p in curve.samples:
-            fh.write("%.17g,%.17g,%.17g\n" % tuple(p))
+        np.savetxt(fh, curve.samples, fmt="%.17g,%.17g,%.17g")
 
 
 def load_curve_csv(path) -> S2Curve:
@@ -90,6 +91,26 @@ def make_great_circle(axis=(0.0, 0.0, 1.0), n=128):
     return S2Curve(np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2))
 
 
+def _turning(p):
+    """Turning angles at the samples p of a closed polyline on S2.
+
+    Returns (psi, ds, t_in, t_out): the signed turning angle at each sample,
+    the mean of the two adjacent segment lengths, and the unit tangents of
+    the incoming and outgoing segments.
+    """
+    log_n = log_map(p, np.roll(p, -1, axis=0))
+    log_p = log_map(p, np.roll(p, 1, axis=0))
+    l_n = np.linalg.norm(log_n, axis=1)
+    l_p = np.linalg.norm(log_p, axis=1)
+    if l_n.min() < 1e-12 or l_p.min() < 1e-12:
+        raise ValueError("degenerate segment in curve")
+    t_out = log_n / l_n[:, None]
+    t_in = -log_p / l_p[:, None]
+    cross = np.cross(t_in, t_out)
+    psi = np.arctan2(np.einsum("ij,ij->i", p, cross), np.einsum("ij,ij->i", t_in, t_out))
+    return psi, 0.5 * (l_n + l_p), t_in, t_out
+
+
 def geodesic_curvature(curve: S2Curve):
     """Signed discrete geodesic curvature and arclength weights.
 
@@ -99,37 +120,8 @@ def geodesic_curvature(curve: S2Curve):
     adjacent segment lengths, and that mean itself.  The total turning
     sum(kappa_g * ds) is exactly the polygon angle defect.
     """
-    p = curve.samples
-    nxt = np.roll(p, -1, axis=0)
-    prv = np.roll(p, 1, axis=0)
-    log_n = log_map(p, nxt)
-    log_p = log_map(p, prv)
-    l_n = np.linalg.norm(log_n, axis=1)
-    l_p = np.linalg.norm(log_p, axis=1)
-    if l_n.min() < 1e-12 or l_p.min() < 1e-12:
-        raise ValueError("degenerate segment in curve")
-    t_out = log_n / l_n[:, None]
-    t_in = -log_p / l_p[:, None]
-    cross = np.cross(t_in, t_out)
-    psi = np.arctan2(np.einsum("ij,ij->i", p, cross), np.einsum("ij,ij->i", t_in, t_out))
-    ds = 0.5 * (l_n + l_p)
+    psi, ds, _, _ = _turning(curve.samples)
     return psi / ds, ds
-
-
-def _curvature_normals(curve: S2Curve):
-    """Unit in-plane normals n with kappa_g * n the discrete curvature vector."""
-    p = curve.samples
-    nxt = np.roll(p, -1, axis=0)
-    prv = np.roll(p, 1, axis=0)
-    log_n = log_map(p, nxt)
-    log_p = log_map(p, prv)
-    t_out = normalize(log_n)
-    t_in = -normalize(log_p)
-    t_mid = t_in + t_out
-    small = np.linalg.norm(t_mid, axis=1) < 1e-12
-    t_mid[small] = t_out[small]
-    t_mid = normalize(t_mid)
-    return np.cross(p, t_mid)
 
 
 def resample_uniform(curve: S2Curve, n=None) -> S2Curve:
@@ -137,7 +129,7 @@ def resample_uniform(curve: S2Curve, n=None) -> S2Curve:
     p = curve.samples
     if n is None:
         n = len(p)
-    seg = geodesic_distance(p, np.roll(p, -1, axis=0))
+    seg = curve.gaps
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     targets = total * np.arange(n) / n
@@ -158,10 +150,17 @@ def csf_step(curve: S2Curve, dt, resample=True) -> S2Curve:
     vector direction by arclength kappa_g * dt."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    kappa, _ = geodesic_curvature(curve)
-    n_hat = _curvature_normals(curve)
+    p = curve.samples
+    psi, ds, t_in, t_out = _turning(p)
+    # the unit normal along the bisector of the two tangents, so that
+    # kappa_g times it is the discrete curvature vector
+    t_mid = t_in + t_out
+    small = np.linalg.norm(t_mid, axis=1) < 1e-12
+    t_mid[small] = t_out[small]
+    n_hat = np.cross(p, normalize(t_mid))
+    kappa = psi / ds
     s = (kappa * dt)[:, None]
-    moved = normalize(np.cos(s) * curve.samples + np.sin(s) * n_hat)
+    moved = normalize(np.cos(s) * p + np.sin(s) * n_hat)
     out = S2Curve(moved)
     return resample_uniform(out) if resample else out
 
@@ -192,11 +191,10 @@ def run_csf(curve: S2Curve, t_end, dt=None, sigma=0.25, resample=True,
     status = "TimeExhausted"
     step = 0
     while t < t_end - 1e-14 and step < max_steps:
-        if cur.length() < length_tol:
+        if lengths[-1] < length_tol:
             status = "Extinct"
             break
-        seg = geodesic_distance(cur.samples, np.roll(cur.samples, -1, axis=0))
-        bound = sigma * float(seg.min()) ** 2
+        bound = sigma * float(cur.gaps.min()) ** 2
         step_dt = min(bound if dt is None else min(dt, bound), t_end - t)
         try:
             cur = csf_step(cur, step_dt, resample=resample)

@@ -4,6 +4,7 @@ import pytest
 from s3flow.mesh import (
     MeshError,
     SurfaceMesh,
+    _icosphere,
     estimate_curvature,
     make_clifford_torus,
     make_geodesic_sphere,
@@ -13,7 +14,7 @@ from s3flow.mesh import (
     validate_topology,
 )
 from s3flow.s2curves import make_great_circle, make_latitude_circle
-from s3flow.s3core import log_map
+from s3flow.s3core import log_map, normalize
 
 
 def cot(r):
@@ -175,6 +176,61 @@ def test_vertex_off_sphere_rejected():
     bad[0] *= 1.001
     with pytest.raises(MeshError, match="off S3"):
         SurfaceMesh(bad, base.triangles, normals=base.normals)
+
+
+def test_repeated_vertex_rejected():
+    # each directed edge of (0, 0, 1) has its reverse, so only an explicit
+    # check catches it
+    with pytest.raises(MeshError, match="repeats a vertex"):
+        validate_topology([[0, 0, 1]], 2)
+    base = make_geodesic_sphere(np.pi / 2, 1)
+    tris = base.triangles.copy()
+    tris[0, 2] = tris[0, 0]
+    with pytest.raises(MeshError, match=r"triangle 0 \[0, 12, 0\] repeats a vertex"):
+        validate_topology(tris, base.n_vertices)
+
+
+def test_topology_errors_name_the_smallest_edge():
+    base = make_geodesic_sphere(np.pi / 2, 1)
+    with pytest.raises(MeshError, match=r"boundary edge \(23, 30\)"):
+        validate_topology(base.triangles[:-1], base.n_vertices)
+    tris = base.triangles.copy()
+    tris[0] = tris[0][[0, 2, 1]]
+    with pytest.raises(MeshError, match=r"directed edge \(0, 14\) appears"):
+        validate_topology(tris, base.n_vertices)
+
+
+def _loop_icosphere(level):
+    """Subdivision with a dict of edge midpoints, triangle by triangle: the
+    reference for the vectorised _icosphere."""
+    verts, tris = _icosphere(0)
+    for _ in range(level):
+        vlist = list(verts)
+        cache = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = vlist[i] + vlist[j]
+                cache[key] = len(vlist)
+                vlist.append(m / np.linalg.norm(m))
+            return cache[key]
+
+        new_tris = []
+        for i, j, k in tris:
+            a, b, c = midpoint(i, j), midpoint(j, k), midpoint(k, i)
+            new_tris += [[i, a, c], [j, b, a], [k, c, b], [a, b, c]]
+        verts = np.array(vlist)
+        tris = np.array(new_tris, dtype=np.int64)
+    return normalize(verts), tris
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_icosphere_matches_loop_build(level):
+    verts, tris = _icosphere(level)
+    want_verts, want_tris = _loop_icosphere(level)
+    np.testing.assert_array_equal(tris, want_tris)
+    np.testing.assert_allclose(verts, want_verts, rtol=0, atol=1e-15)
 
 
 def _loop_topology(tris, n):
