@@ -236,23 +236,20 @@ def _export_raw4(mesh, path, comment):
 
 
 def import_raw4(path) -> SurfaceMesh:
-    verts, nrms, tris = [], [], []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tag, *rest = line.split(",")
-            if tag == "v":
-                verts.append([float(t) for t in rest])
-            elif tag == "n":
-                nrms.append([float(t) for t in rest])
-            elif tag == "t":
-                tris.append([int(t) for t in rest])
-            else:
-                raise ValueError(f"{path}: unknown record {tag!r}")
-    normals = np.array(nrms) if nrms else None
-    return SurfaceMesh(np.array(verts), np.array(tris, dtype=np.int64), normals=normals)
+        rows = [line.split(",") for line in map(str.strip, fh) if line and line[0] != "#"]
+    unknown = {row[0] for row in rows} - {"v", "n", "t"}
+    if unknown:
+        tag = next(row[0] for row in rows if row[0] in unknown)
+        raise ValueError(f"{path}: unknown record {tag!r}")
+
+    def records(tag, dtype):
+        # numpy parses each field as float() or int() does, with its message
+        return np.array([row[1:] for row in rows if row[0] == tag], dtype=dtype)
+
+    normals = records("n", float)
+    return SurfaceMesh(records("v", float), records("t", np.int64),
+                       normals=normals if len(normals) else None)
 
 
 _POLE_CANDIDATES = [

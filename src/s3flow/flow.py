@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CurvatureData, SurfaceMesh, estimate_curvature, padded
+from .mesh import CurvatureData, FitWorkers, SurfaceMesh, estimate_curvature, fit_workers, padded
 # log_map is not called here; it stays bound because perfbench/layers.py
 # wraps flow.log_map by name
 from .s3core import geodesic_step, log_map, log_scale, normalize  # noqa: F401
@@ -178,15 +178,22 @@ def _check_degeneracy(mesh: SurfaceMesh):
 
 
 def flow_step(state: FlowState, speed: SpeedFunction, dt,
-              smoothing=0.0, fit_order=2) -> FlowState:
+              smoothing=0.0, fit_order=2, workers: FitWorkers = None,
+              speed_values=None) -> FlowState:
     """One explicit step: every vertex moves along the great circle through
     its outward normal by arclength -F dt; normals and curvature are then
-    recomputed from the new geometry."""
+    recomputed from the new geometry.
+
+    ``workers`` are passed to :func:`estimate_curvature`.  ``speed_values``
+    is F at the state's curvature, when the caller has evaluated it already.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     mesh = state.mesh
     curv = state.curvature
-    f = np.asarray(speed.eval(curv.kappa1, curv.kappa2), dtype=float)
+    if speed_values is None:
+        speed_values = speed.eval(curv.kappa1, curv.kappa2)
+    f = np.asarray(speed_values, dtype=float)
     verts = geodesic_step(mesh.vertices, mesh.normals, -f * dt)
     new_mesh = mesh.with_vertices(verts)
 
@@ -197,7 +204,7 @@ def flow_step(state: FlowState, speed: SpeedFunction, dt,
     return FlowState(
         t=state.t + dt,
         mesh=new_mesh,
-        curvature=estimate_curvature(new_mesh, order=fit_order),
+        curvature=estimate_curvature(new_mesh, order=fit_order, workers=workers),
         step_index=state.step_index + 1,
     )
 
@@ -237,9 +244,23 @@ def run_flow(mesh0: SurfaceMesh, config: FlowConfig) -> FlowResult:
     whole trajectory, including its first report, uses the same discrete
     pipeline as every later step (generator-supplied analytic normals
     would make the t = 0 diagnostics incomparably sharper than the rest).
+
+    The curvature fit runs on every CPU of the affinity mask: one forked
+    worker per CPU beyond the first (see :func:`mesh.fit_workers`), ended
+    when the run returns or raises.
     """
     mesh0 = mesh0.with_vertices(mesh0.vertices)
-    state = FlowState(0.0, mesh0, estimate_curvature(mesh0, order=config.fit_order), 0)
+    workers = fit_workers(mesh0.topology, config.fit_order)
+    try:
+        return _run(mesh0, config, workers)
+    finally:
+        if workers is not None:
+            workers.close()
+
+
+def _run(mesh0, config, workers):
+    curvature = estimate_curvature(mesh0, order=config.fit_order, workers=workers)
+    state = FlowState(0.0, mesh0, curvature, 0)
     times = []
     reports = []
     snapshots = []
@@ -261,10 +282,8 @@ def run_flow(mesh0: SurfaceMesh, config: FlowConfig) -> FlowResult:
         if state.mesh.diameter_proxy() < config.width_tol:
             reason = StopReason.EXTINCT
             break
-        max_speed = float(
-            np.max(np.abs(config.speed.eval(state.curvature.kappa1, state.curvature.kappa2)))
-        )
-        if max_speed < config.speed_tol:
+        f = config.speed.eval(state.curvature.kappa1, state.curvature.kappa2)
+        if float(np.max(np.abs(f))) < config.speed_tol:
             reason = StopReason.CONVERGED
             break
         if state.t >= config.t_end - 1e-14:
@@ -281,7 +300,7 @@ def run_flow(mesh0: SurfaceMesh, config: FlowConfig) -> FlowResult:
         dt = min(dt, config.t_end - state.t)
         try:
             state = flow_step(state, config.speed, dt, smoothing=config.smoothing,
-                              fit_order=config.fit_order)
+                              fit_order=config.fit_order, workers=workers, speed_values=f)
         except MeshDegenerateError:
             reason = StopReason.MESH_DEGENERATE
             break

@@ -14,6 +14,10 @@ radius r carries kappa = cot(r) with respect to its outward normal.
 
 from __future__ import annotations
 
+import mmap
+import os
+import sys
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -696,7 +700,177 @@ def _fit_block(frame, y, counts, order):
     return c / scale[:, None], cond, notspd
 
 
-def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4) -> CurvatureData:
+# Meshes below this size are fitted in one process.  Starting and ending the
+# workers costs about 4 ms per run, and the flows on level-3 spheres
+# (n = 642) showed no gain end to end.
+PARALLEL_MIN_VERTICES = 2048
+
+
+class FitWorkers:
+    """Forked processes that share the curvature fit of one topology.
+
+    The fit runs FIT_BLOCK vertices at a time, and each block is fitted by
+    :func:`_fit_block` on the rows the serial fit gives it, by whichever
+    process claims it, so the results are bit-identical to the serial fit.
+    Each process starts at its own block, evenly spaced, and walks through
+    all blocks cyclically, fitting those not yet claimed: a process on a
+    slower CPU fits fewer.  Two processes that claim a block at the same
+    moment both fit it and write the same bytes.  The inputs (padded
+    vertices and frames), the claims and the outputs (Hessian, condition,
+    not-SPD mark) live in anonymous shared mappings made before the fork,
+    so nothing is pickled or copied through a pipe; one byte on a pipe
+    starts each worker's part of a fit, and one byte back reports it done.
+
+    ``fork`` rather than ``spawn``: a spawned worker imports ``__main__``
+    again, and a script that calls ``run_flow`` at module level would then
+    fork without end.  Workers leave through ``os._exit``; :meth:`close`
+    reaps them.
+    """
+
+    def __init__(self, topology, order, cpus):
+        n = topology.n_vertices
+        self.topology = topology
+        self.order = order
+        self.blocks = -(-n // FIT_BLOCK)
+        count = min(len(cpus), self.blocks)
+        self.starts = [self.blocks * k // count for k in range(count)]
+        # each worker is pinned to a CPU other than the parent's: where the
+        # kernel does not balance load between CPUs, a forked process stays
+        # on its parent's CPU and the two share it
+        self.cpus = [c for c in sorted(cpus) if c != _current_cpu()]
+        self.xz = _shared((n + 1, 4))
+        self.frame = _shared((n, 4, 4))
+        self.claimed = _shared((self.blocks,), bool)
+        self.hessian = _shared((n, 3))
+        self.cond = _shared((n,))
+        self.notspd = _shared((n,), bool)
+        self.pids, self.commands, self.replies = [], [], []
+        try:
+            for k in range(1, count):
+                self._start(k)
+        except BaseException:
+            self.close()
+            raise
+
+    def _start(self, k):
+        cmd_r, cmd_w = os.pipe()
+        rep_r, rep_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the worker
+            status = 1
+            try:
+                # the parent's ends, including those of earlier workers: a
+                # worker holding another's command pipe open would keep that
+                # one from seeing the end of the run
+                for fd in (cmd_w, rep_r, *self.commands, *self.replies):
+                    os.close(fd)
+                try:
+                    os.sched_setaffinity(0, {self.cpus[(k - 1) % len(self.cpus)]})
+                except OSError:  # a CPU the mask names but this process may not use
+                    pass
+                while os.read(cmd_r, 1):
+                    self._fit_blocks(self.starts[k])
+                    os.write(rep_w, b"d")
+                status = 0
+            except Exception:
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+        os.close(cmd_r)
+        os.close(rep_w)
+        self.pids.append(pid)
+        self.commands.append(cmd_w)
+        self.replies.append(rep_r)
+
+    def _fit_blocks(self, start):
+        """Fit each block not yet claimed, from block ``start`` on, cyclically."""
+        topo = self.topology
+        for b in (*range(start, self.blocks), *range(start)):
+            if self.claimed[b]:
+                continue
+            self.claimed[b] = True
+            rows = slice(b * FIT_BLOCK, (b + 1) * FIT_BLOCK)
+            out = _fit_block(self.frame[rows], self.xz[topo.two_ring_padded[rows]],
+                             topo.ring_counts[rows], self.order)
+            for dst, src in zip((self.hessian, self.cond, self.notspd), out):
+                dst[rows] = src
+
+    def fit(self, topology, order, frame_rows, xz):
+        """(hessian, cond, notspd) at every vertex, as the serial fit gives.
+
+        ``frame_rows`` are the (n, 4) arrays x, e1, e2, nu; the frames are
+        stacked straight into the shared mapping.  The arrays returned are
+        views of the shared mappings: the next fit overwrites them.  Raises
+        RuntimeError naming a worker that died.
+        """
+        if topology is not self.topology or order != self.order:
+            raise ValueError("fit workers were started for another topology or fit order")
+        np.stack(frame_rows, axis=1, out=self.frame)
+        self.xz[...] = xz
+        self.claimed[...] = False
+        for k, fd in enumerate(self.commands):
+            try:
+                os.write(fd, b"f")
+            except BrokenPipeError:
+                self._died(k)
+        self._fit_blocks(self.starts[0])
+        for k, fd in enumerate(self.replies):
+            if os.read(fd, 1) != b"d":
+                self._died(k)
+        return self.hessian, self.cond, self.notspd
+
+    def _died(self, k):
+        pid = self.pids[k]
+        _, status = os.waitpid(pid, 0)
+        self.pids[k] = None
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(f"curvature fit worker {pid} {how}")
+
+    def close(self):
+        """End the workers and reap them.  Safe to call more than once."""
+        for fd in self.commands:
+            os.close(fd)
+        for pid in self.pids:
+            if pid is not None:
+                os.waitpid(pid, 0)
+        for fd in self.replies:
+            os.close(fd)
+        self.pids, self.commands, self.replies = [], [], []
+
+
+def _shared(shape, dtype=float):
+    """A zeroed array in an anonymous shared mapping: processes forked after
+    it is made see each other's writes."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+
+
+def _current_cpu():
+    """The CPU this process last ran on, from /proc, or None."""
+    try:
+        with open("/proc/self/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[36])  # field 39, processor
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def fit_workers(topology, order):
+    """Fit workers for a flow on ``topology`` at ``order``, one per CPU of
+    this process's affinity mask beyond the first; None where the fit stays
+    serial: one CPU, no ``os.fork``, or fewer than PARALLEL_MIN_VERTICES
+    vertices.  The caller closes them."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2 or topology.n_vertices < PARALLEL_MIN_VERTICES:
+        return None
+    return FitWorkers(topology, order, cpus)
+
+
+def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4,
+                       workers: FitWorkers = None) -> CurvatureData:
     """Estimate the shape operator at every vertex by local quadric fitting.
 
     One- and two-ring neighbours are mapped into T_x S3 by the spherical
@@ -718,6 +892,10 @@ def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4) -> CurvatureD
     condition proxy above ``cond_limit`` or a non-finite solution are
     flagged and inherit the average curvature of their unflagged one-ring
     neighbours.
+
+    ``workers``, from :func:`fit_workers` for this mesh's topology and
+    ``order``, split the fit across processes; the result is bit-identical
+    to the serial fit.
     """
     x = mesh.vertices
     nu = mesh.normals
@@ -743,12 +921,15 @@ def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4) -> CurvatureD
     e1 = seed / sn
     e2 = normalize(cross4(x, nu, e1))
 
-    frame = np.stack([x, e1, e2, nu], axis=1)
-    blocks = []
-    for i in range(0, n, FIT_BLOCK):
-        rows = slice(i, i + FIT_BLOCK)
-        blocks.append(_fit_block(frame[rows], xz[nbr[rows]], counts[rows], order))
-    hessian, cond, notspd = (np.concatenate(part) for part in zip(*blocks))
+    if workers is None:
+        frame = np.stack([x, e1, e2, nu], axis=1)
+        blocks = []
+        for i in range(0, n, FIT_BLOCK):
+            rows = slice(i, i + FIT_BLOCK)
+            blocks.append(_fit_block(frame[rows], xz[nbr[rows]], counts[rows], order))
+        hessian, cond, notspd = (np.concatenate(part) for part in zip(*blocks))
+    else:
+        hessian, cond, notspd = workers.fit(topo, order, (x, e1, e2, nu), xz)
     flagged = (counts < 5) | notspd | ~np.isfinite(cond) | (cond > cond_limit)
     flagged |= ~np.all(np.isfinite(hessian), axis=1)
     a, b, c = hessian.T

@@ -58,14 +58,10 @@ def save_curve_csv(curve: S2Curve, path):
 
 def load_curve_csv(path) -> S2Curve:
     """Read a curve written by :func:`save_curve_csv` (or any 3-column CSV)."""
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(t) for t in line.split(",")])
-    return S2Curve(np.array(rows))
+        rows = [line.split(",") for line in map(str.strip, fh) if line and line[0] != "#"]
+    # numpy parses each field as float() does, with its message
+    return S2Curve(np.array(rows, dtype=float))
 
 
 def make_latitude_circle(theta, n):

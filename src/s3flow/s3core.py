@@ -111,14 +111,16 @@ def log_map(x, y):
     """Inverse exponential on S3 (or S2): tangent vectors at x pointing to y.
 
     Returns theta * unit(y - cos(theta) x) with theta the geodesic distance;
-    zero vector where y coincides with x.
+    zero vector where y coincides with x.  theta = atan2(|y - <x, y> x|,
+    <x, y>) is accurate at every angle; arccos(<x, y>) loses half the
+    digits at small ones (5e-10 absolute error at theta = 1e-7).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    c = np.clip(np.sum(x * y, axis=-1, keepdims=True), -1.0, 1.0)
-    theta = np.arccos(c)
+    c = np.sum(x * y, axis=-1, keepdims=True)
     d = y - c * x
     dn = np.linalg.norm(d, axis=-1, keepdims=True)
+    theta = np.arctan2(dn, c)
     small = dn < 1e-300
     safe = np.where(small, 1.0, dn)
     return np.where(small, 0.0, theta * d / safe)

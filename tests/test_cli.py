@@ -98,6 +98,23 @@ def test_raw4_round_trip_exact(tmp_path):
     assert np.array_equal(back.triangles, m.triangles)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("v,1,abc,0,0", "could not convert string to float: 'abc'"),
+    ("n, 0,1,x,0", "could not convert string to float: 'x'"),
+    ("t,0,1.5,2", "invalid literal for int() with base 10: '1.5'"),
+    ("  q,1,2", "unknown record 'q'"),
+])
+def test_raw4_malformed_line_named(tmp_path, bad, message):
+    path = tmp_path / "m.raw4"
+    export_mesh(make_geodesic_sphere(0.9, 1), "raw4", str(path))
+    lines = path.read_text().splitlines()
+    lines.insert(7, bad)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        import_raw4(str(path))
+    assert str(err.value).endswith(message)
+
+
 def test_raw4_export_bit_stable(tmp_path):
     m = make_clifford_torus(8, 8)
     p1, p2 = tmp_path / "a.raw4", tmp_path / "b.raw4"

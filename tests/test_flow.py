@@ -1,6 +1,10 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from s3flow import flow
 from s3flow.flow import (
     FlowConfig,
     FlowState,
@@ -18,6 +22,7 @@ from s3flow.flow import (
 from s3flow.mesh import (
     SurfaceMesh,
     estimate_curvature,
+    fit_workers,
     make_clifford_torus,
     make_geodesic_sphere,
     make_perturbed_sphere,
@@ -222,6 +227,23 @@ def test_run_flow_deterministic():
     assert [rep.min_G for rep in r1.reports] == [rep.min_G for rep in r2.reports]
 
 
+def test_speed_evaluated_once_per_step():
+    # once per pass of the loop, for the Converged check, which the step
+    # reuses, and once per report
+    speed = mcf()
+    calls = []
+
+    def counted(k1, k2):
+        calls.append(k1)
+        return mcf().eval(k1, k2)
+
+    speed.eval = counted
+    cfg = FlowConfig(speed=speed, t_end=0.01, dt=1e-3, cadence=1000, fit_order=2)
+    result = run_flow(make_geodesic_sphere(np.pi / 3, 2), cfg)
+    assert result.final.step_index > 5
+    assert len(calls) == result.final.step_index + 1 + len(result.reports)
+
+
 def test_mesh_degenerate_detected():
     # force huge steps so the mesh folds over itself
     m = make_geodesic_sphere(np.pi / 3, 2)
@@ -253,6 +275,83 @@ def test_degeneracy_check_at_one_degree():
     with pytest.raises(MeshDegenerateError, match=r"^minimum triangle angle 0\.900 deg < 1 deg$"):
         _check_degeneracy(_sliver(0.9))
     _check_degeneracy(_sliver(1.1))
+
+
+# -- the fit workers of a run ----------------------------------------------
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """An affinity mask of two CPUs, so that each run_flow starts one fit
+    worker on any machine; returns the worker pids of each run."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids = []
+
+    def recording(topology, order):
+        workers = fit_workers(topology, order)
+        pids.append(list(workers.pids))
+        return workers
+
+    monkeypatch.setattr(flow, "fit_workers", recording)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+MCF_L4 = FlowConfig(speed=mcf(), t_end=1.0, sigma=0.7, smoothing=0.3, fit_order=2)
+
+
+def test_killed_fit_worker_raises_and_is_reaped(started, monkeypatch):
+    calls = []
+
+    def kill_on_third_fit(mesh, **kwargs):
+        calls.append(mesh)
+        if len(calls) == 3:
+            os.kill(kwargs["workers"].pids[0], signal.SIGKILL)
+        return estimate_curvature(mesh, **kwargs)
+
+    monkeypatch.setattr(flow, "estimate_curvature", kill_on_third_fit)
+    with pytest.raises(RuntimeError, match=r"^curvature fit worker \d+ killed by signal 9$"):
+        run_flow(make_geodesic_sphere(np.pi / 3, 4), MCF_L4)
+    assert len(calls) == 3
+    assert [len(p) for p in started] == [1]
+    assert all(_reaped(pid) for pid in started[0])
+
+
+def test_mesh_degenerate_stop_leaves_no_fit_worker(started, monkeypatch):
+    checks = []
+
+    def collapse_on_third_step(mesh):
+        checks.append(mesh)
+        if len(checks) == 3:
+            raise MeshDegenerateError("edge collapsed")
+
+    monkeypatch.setattr(flow, "_check_degeneracy", collapse_on_third_step)
+    result = run_flow(make_geodesic_sphere(np.pi / 3, 4), MCF_L4)
+    assert result.reason is StopReason.MESH_DEGENERATE
+    assert result.final.step_index == 2
+    assert [len(p) for p in started] == [1]
+    assert all(_reaped(pid) for pid in started[0])
+
+
+def test_fit_stays_serial_on_one_cpu_or_a_small_mesh(monkeypatch):
+    def no_fork():
+        raise AssertionError("a fit worker was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert fit_workers(make_geodesic_sphere(np.pi / 3, 3).topology, 2) is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    m = make_geodesic_sphere(np.pi / 3, 4)
+    assert fit_workers(m.topology, 2) is None
+    cfg = FlowConfig(speed=mcf(), t_end=1e-3, sigma=0.7, smoothing=0.3, fit_order=2)
+    assert run_flow(m, cfg).reason is StopReason.TIME_EXHAUSTED
 
 
 # -- the radius oracle -----------------------------------------------------

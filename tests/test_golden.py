@@ -1,12 +1,15 @@
 """Golden trajectories: each bundled flow scenario, rerun through the CLI,
-reproduces the trajectory.csv and summary recorded in tests/golden/.
+reproduces the trajectory.csv and summary recorded in tests/golden/; the
+curve-shortening and Weiner scenarios reproduce their trajectory, last
+curve and report.
 
 Refactors may change round-off but not the run: row counts, stop reasons,
-step counts and the flags cells must match exactly, and every numeric cell
-must agree to rtol 1e-9 (atol 1e-12).
+step counts, the flags cells and every other text cell must match exactly,
+and every numeric cell must agree to rtol 1e-9 (atol 1e-12).
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -57,3 +60,34 @@ def test_flow_scenario_matches_golden(name, tmp_path):
             assert got[key] == want[key], key
         else:
             _close(got[key], want[key], f"summary {key}")
+
+
+# the files compared for the scenarios that are not flows
+OTHER_SCENARIOS = {
+    "latitude-csf": ("trajectory.csv", "curve_00062.csv"),
+    "weiner-check-demo": ("weiner_report.txt",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_SCENARIOS))
+def test_other_scenario_matches_golden(name, tmp_path):
+    assert run_scenario(BUNDLED, name, output_dir=str(tmp_path)) == 0
+    for fname in OTHER_SCENARIOS[name]:
+        got = _read(tmp_path / name / fname)
+        want = _read(os.path.join(GOLDEN, name, fname))
+        assert len(got) == len(want), fname
+        for row, (g, w) in enumerate(zip(got, want)):
+            # CSV cells, or the key and value of a "key: value" line
+            g, w = re.split(",|: ", g), re.split(",|: ", w)
+            assert len(g) == len(w), f"{fname} row {row}"
+            for col, (gv, wv) in enumerate(zip(g, w)):
+                what = f"{fname} row {row} cell {col}"
+                try:
+                    float(wv)
+                except ValueError:
+                    assert gv == wv, what
+                else:
+                    _close(gv, wv, what)
+    if name == "latitude-csf":
+        curves = sorted(p.name for p in (tmp_path / name).glob("curve_*.csv"))
+        assert curves[-1] == "curve_00062.csv"

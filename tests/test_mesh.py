@@ -1,11 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 from s3flow.mesh import (
+    FIT_BLOCK,
     MeshError,
     SurfaceMesh,
     _icosphere,
     estimate_curvature,
+    fit_workers,
     make_clifford_torus,
     make_geodesic_sphere,
     make_hopf_torus,
@@ -378,3 +382,60 @@ def test_nonfinite_vertex_inherits_one_ring():
     others = np.arange(m.n_vertices) != i
     np.testing.assert_allclose(c.kappa1[others], clean.kappa1[others], rtol=0, atol=1e-12)
     np.testing.assert_allclose(c.kappa2[others], clean.kappa2[others], rtol=0, atol=1e-12)
+
+
+# -- the fit split across forked workers -------------------------------------
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """An affinity mask of two CPUs, so that fit_workers starts one worker
+    on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: make_geodesic_sphere(np.pi / 3, 4), 4),
+    (lambda: make_clifford_torus(64, 64), 2),
+], ids=["sphere-l4-order4", "clifford-64-order2"])
+def test_parallel_fit_bit_identical_to_serial(build, order, two_cpus):
+    # two fits by the same workers, as in two steps of a flow: the mesh,
+    # then the mesh pushed off along its normals
+    m = build()
+    meshes = (m, m.with_vertices(normalize(m.vertices + 0.01 * m.normals)))
+    workers = fit_workers(m.topology, order)
+    try:
+        assert len(workers.pids) == 1
+        got = [estimate_curvature(mesh, order=order, workers=workers) for mesh in meshes]
+    finally:
+        workers.close()
+    for mesh, g in zip(meshes, got):
+        want = estimate_curvature(mesh, order=order)
+        for name in ("kappa1", "kappa2", "flagged"):
+            assert np.array_equal(getattr(g, name), getattr(want, name)), name
+
+
+def test_not_spd_vertices_flagged_alone_by_every_process(two_cpus):
+    # the construction of test_not_spd_vertex_flagged_alone on a level-4
+    # sphere, with a vertex in the block each process fits first
+    m = make_geodesic_sphere(np.pi / 2, 4)
+    verts = m.vertices.copy()
+    verts[:, 0] = 0.0
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    normals = np.tile([1.0, 0.0, 0.0, 0.0], (m.n_vertices, 1))
+    t = np.array([0.0, 1.0, 2.0, 3.0])
+    for order in (2, 4):
+        workers = fit_workers(m.topology, order)
+        try:
+            assert workers.starts == [0, 10]
+            picked = [100, 10 * FIT_BLOCK + 20]
+            bent = normals.copy()
+            for i in picked:
+                bent[i] = t - (t @ verts[i]) * verts[i]
+                bent[i] /= np.linalg.norm(bent[i])
+            c = estimate_curvature(m.with_vertices(verts, normals=bent), order=order,
+                                   workers=workers)
+        finally:
+            workers.close()
+        assert np.flatnonzero(c.flagged).tolist() == picked
+        assert np.max(c.normA2) <= 1e-20

@@ -215,3 +215,15 @@ def test_curve_csv_round_trip(tmp_path):
     save_curve_csv(c, str(path))
     back = load_curve_csv(str(path))
     assert np.array_equal(back.samples, c.samples)
+
+
+def test_curve_csv_malformed_line_named(tmp_path):
+    from s3flow.s2curves import load_curve_csv, save_curve_csv
+
+    path = tmp_path / "c.csv"
+    save_curve_csv(make_latitude_circle(0.9, 48), str(path))
+    lines = path.read_text().splitlines()
+    lines[5] = "0.5,abc,0.1"
+    path.write_text("# a comment\n\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"^could not convert string to float: 'abc'$"):
+        load_curve_csv(str(path))

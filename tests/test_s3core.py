@@ -136,6 +136,16 @@ def test_log_map_inverts_geodesic_step():
     np.testing.assert_allclose(logs / 0.4, d, atol=1e-10)
 
 
+@pytest.mark.parametrize("dim", [3, 4])
+def test_log_map_at_a_small_angle(dim):
+    # at theta = 1e-7 an angle from arccos(<x, y>) is off by about 5e-10
+    rng = np.random.default_rng(12)
+    x = random_unit(rng, 50, dim)
+    d = normalize(tangent_project(x, rng.standard_normal((50, dim))))
+    y = geodesic_step(x, d, 1e-7)
+    np.testing.assert_allclose(log_map(x, y), 1e-7 * d, rtol=0, atol=1e-12)
+
+
 def test_log_scale_rescales_the_chord_to_the_log_map():
     rng = np.random.default_rng(11)
     x = random_unit(rng, 60)
