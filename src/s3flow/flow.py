@@ -245,9 +245,9 @@ def run_flow(mesh0: SurfaceMesh, config: FlowConfig) -> FlowResult:
     pipeline as every later step (generator-supplied analytic normals
     would make the t = 0 diagnostics incomparably sharper than the rest).
 
-    The curvature fit runs on every CPU of the affinity mask: one forked
-    worker per CPU beyond the first (see :func:`mesh.fit_workers`), ended
-    when the run returns or raises.
+    The curvature fit is shared with a forked worker where
+    :func:`mesh.fit_workers` starts one; it is ended when the run returns
+    or raises.
     """
     mesh0 = mesh0.with_vertices(mesh0.vertices)
     workers = fit_workers(mesh0.topology, config.fit_order)

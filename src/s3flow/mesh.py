@@ -17,6 +17,7 @@ from __future__ import annotations
 import mmap
 import os
 import sys
+import threading
 import traceback
 from dataclasses import dataclass, field
 
@@ -700,50 +701,76 @@ def _fit_block(frame, y, counts, order):
     return c / scale[:, None], cond, notspd
 
 
+def _fit_blocks(frame, xz, topology, order, out, blocks):
+    """Fit ``blocks``, indices of blocks of FIT_BLOCK vertices, into ``out``
+    = (hessian, cond, notspd).
+
+    Every block is fitted by :func:`_fit_block` on the same rows, whichever
+    process fits it, so the results do not depend on how the blocks are
+    shared out.
+    """
+    for b in blocks:
+        rows = slice(b * FIT_BLOCK, (b + 1) * FIT_BLOCK)
+        fitted = _fit_block(frame[rows], xz[topology.two_ring_padded[rows]],
+                            topology.ring_counts[rows], order)
+        for dst, src in zip(out, fitted):
+            dst[rows] = src
+
+
 # Meshes below this size are fitted in one process.  Starting and ending the
 # workers costs about 4 ms per run, and the flows on level-3 spheres
 # (n = 642) showed no gain end to end.
 PARALLEL_MIN_VERTICES = 2048
 
+# Fit workers started by one flow run, however many CPUs the affinity mask
+# names.  The parallel fit has been measured on two CPUs only, with one
+# worker and one flow at a time; more workers, and several flows whose
+# workers pin themselves to the same CPUs, are unmeasured.
+MAX_FIT_WORKERS = 1
+
 
 class FitWorkers:
     """Forked processes that share the curvature fit of one topology.
 
-    The fit runs FIT_BLOCK vertices at a time, and each block is fitted by
-    :func:`_fit_block` on the rows the serial fit gives it, by whichever
-    process claims it, so the results are bit-identical to the serial fit.
-    Each process starts at its own block, evenly spaced, and walks through
-    all blocks cyclically, fitting those not yet claimed: a process on a
-    slower CPU fits fewer.  Two processes that claim a block at the same
-    moment both fit it and write the same bytes.  The inputs (padded
-    vertices and frames), the claims and the outputs (Hessian, condition,
-    not-SPD mark) live in anonymous shared mappings made before the fork,
-    so nothing is pickled or copied through a pipe; one byte on a pipe
-    starts each worker's part of a fit, and one byte back reports it done.
+    The blocks of FIT_BLOCK vertices are split into one contiguous range
+    per process, the parent's first; each process runs :func:`_fit_blocks`
+    over its range.  The inputs (padded vertices and frames) and the
+    outputs (Hessian, condition, not-SPD mark) live in anonymous shared
+    mappings made before the fork, so nothing is pickled or copied through
+    a pipe; one byte on a pipe starts each worker's part of a fit, and one
+    byte back reports it done.
+
+    The split is fixed rather than balanced (a process that finishes early
+    taking blocks left over): with a share that changed from fit to fit,
+    the parent's heap ended each flow in a different layout, and the peak
+    RSS of a run of the bundled scenarios varied by 4 MB from run to run.
 
     ``fork`` rather than ``spawn``: a spawned worker imports ``__main__``
     again, and a script that calls ``run_flow`` at module level would then
-    fork without end.  Workers leave through ``os._exit``; :meth:`close`
-    reaps them.
+    fork without end.  Forking a process that runs other threads may
+    deadlock the child, so :func:`fit_workers` starts none while Python
+    runs a second thread; threads outside Python's knowledge, such as a
+    BLAS thread pool, are still there, and from Python 3.12 ``os.fork``
+    warns (DeprecationWarning) whenever the process has more than one
+    thread.  Workers leave through ``os._exit``; :meth:`close` reaps them.
     """
 
     def __init__(self, topology, order, cpus):
         n = topology.n_vertices
         self.topology = topology
         self.order = order
-        self.blocks = -(-n // FIT_BLOCK)
-        count = min(len(cpus), self.blocks)
-        self.starts = [self.blocks * k // count for k in range(count)]
+        blocks = -(-n // FIT_BLOCK)
+        count = min(len(cpus), blocks, 1 + MAX_FIT_WORKERS)
+        self.ranges = [range(blocks * k // count, blocks * (k + 1) // count)
+                       for k in range(count)]
         # each worker is pinned to a CPU other than the parent's: where the
         # kernel does not balance load between CPUs, a forked process stays
         # on its parent's CPU and the two share it
-        self.cpus = [c for c in sorted(cpus) if c != _current_cpu()]
+        current = _current_cpu()
+        self.cpus = [c for c in sorted(cpus) if c != current]
         self.xz = _shared((n + 1, 4))
         self.frame = _shared((n, 4, 4))
-        self.claimed = _shared((self.blocks,), bool)
-        self.hessian = _shared((n, 3))
-        self.cond = _shared((n,))
-        self.notspd = _shared((n,), bool)
+        self.out = (_shared((n, 3)), _shared((n,)), _shared((n,), bool))
         self.pids, self.commands, self.replies = [], [], []
         try:
             for k in range(1, count):
@@ -755,7 +782,12 @@ class FitWorkers:
     def _start(self, k):
         cmd_r, cmd_w = os.pipe()
         rep_r, rep_w = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (cmd_r, cmd_w, rep_r, rep_w):
+                os.close(fd)
+            raise
         if pid == 0:  # the worker
             status = 1
             try:
@@ -769,7 +801,7 @@ class FitWorkers:
                 except OSError:  # a CPU the mask names but this process may not use
                     pass
                 while os.read(cmd_r, 1):
-                    self._fit_blocks(self.starts[k])
+                    self._fit(k)
                     os.write(rep_w, b"d")
                 status = 0
             except Exception:
@@ -783,18 +815,9 @@ class FitWorkers:
         self.commands.append(cmd_w)
         self.replies.append(rep_r)
 
-    def _fit_blocks(self, start):
-        """Fit each block not yet claimed, from block ``start`` on, cyclically."""
-        topo = self.topology
-        for b in (*range(start, self.blocks), *range(start)):
-            if self.claimed[b]:
-                continue
-            self.claimed[b] = True
-            rows = slice(b * FIT_BLOCK, (b + 1) * FIT_BLOCK)
-            out = _fit_block(self.frame[rows], self.xz[topo.two_ring_padded[rows]],
-                             topo.ring_counts[rows], self.order)
-            for dst, src in zip((self.hessian, self.cond, self.notspd), out):
-                dst[rows] = src
+    def _fit(self, k):
+        _fit_blocks(self.frame, self.xz, self.topology, self.order, self.out,
+                    self.ranges[k])
 
     def fit(self, topology, order, frame_rows, xz):
         """(hessian, cond, notspd) at every vertex, as the serial fit gives.
@@ -808,17 +831,16 @@ class FitWorkers:
             raise ValueError("fit workers were started for another topology or fit order")
         np.stack(frame_rows, axis=1, out=self.frame)
         self.xz[...] = xz
-        self.claimed[...] = False
         for k, fd in enumerate(self.commands):
             try:
                 os.write(fd, b"f")
             except BrokenPipeError:
                 self._died(k)
-        self._fit_blocks(self.starts[0])
+        self._fit(0)
         for k, fd in enumerate(self.replies):
             if os.read(fd, 1) != b"d":
                 self._died(k)
-        return self.hessian, self.cond, self.notspd
+        return self.out
 
     def _died(self, k):
         pid = self.pids[k]
@@ -857,16 +879,23 @@ def _current_cpu():
 
 
 def fit_workers(topology, order):
-    """Fit workers for a flow on ``topology`` at ``order``, one per CPU of
-    this process's affinity mask beyond the first; None where the fit stays
-    serial: one CPU, no ``os.fork``, or fewer than PARALLEL_MIN_VERTICES
-    vertices.  The caller closes them."""
+    """Fit workers for a flow on ``topology`` at ``order``: one per CPU of
+    this process's affinity mask beyond the first, at most MAX_FIT_WORKERS.
+    None where the fit stays serial: one CPU, no ``os.fork``, fewer than
+    PARALLEL_MIN_VERTICES vertices, a second Python thread running, or a
+    worker that could not be started (``os.fork`` or a pipe or mapping
+    refused).  The caller closes them."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
     cpus = os.sched_getaffinity(0)
     if len(cpus) < 2 or topology.n_vertices < PARALLEL_MIN_VERTICES:
         return None
-    return FitWorkers(topology, order, cpus)
+    if threading.active_count() > 1:
+        return None
+    try:
+        return FitWorkers(topology, order, cpus)
+    except OSError:
+        return None
 
 
 def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4,
@@ -922,12 +951,9 @@ def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4,
     e2 = normalize(cross4(x, nu, e1))
 
     if workers is None:
-        frame = np.stack([x, e1, e2, nu], axis=1)
-        blocks = []
-        for i in range(0, n, FIT_BLOCK):
-            rows = slice(i, i + FIT_BLOCK)
-            blocks.append(_fit_block(frame[rows], xz[nbr[rows]], counts[rows], order))
-        hessian, cond, notspd = (np.concatenate(part) for part in zip(*blocks))
+        hessian, cond, notspd = out = (np.empty((n, 3)), np.empty(n), np.empty(n, bool))
+        _fit_blocks(np.stack([x, e1, e2, nu], axis=1), xz, topo, order, out,
+                    range(-(-n // FIT_BLOCK)))
     else:
         hessian, cond, notspd = workers.fit(topo, order, (x, e1, e2, nu), xz)
     flagged = (counts < 5) | notspd | ~np.isfinite(cond) | (cond > cond_limit)

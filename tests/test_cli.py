@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from s3flow import flow
+from s3flow import cli, flow
 from s3flow.cli import (
     ConfigError,
     build_curve,
@@ -200,6 +200,20 @@ def test_weiner_scenario_runs(tmp_path):
     assert code == 0
     rep = (tmp_path / "weiner-check-demo" / "weiner_report.txt").read_text()
     assert "verdict: fail" in rep  # a latitude circle is not a Gauss image
+
+
+def test_heap_released_after_each_scenario(tmp_path, monkeypatch):
+    released = []
+    monkeypatch.setattr(cli, "_release_heap", lambda: released.append(True))
+    assert run_scenario(BUNDLED, "weiner-check-demo", output_dir=str(tmp_path)) == 0
+    assert released == [True]
+    p = tmp_path / "cfg.cfg"
+    p.write_text("[bad-weiner]\nkind = weiner\ncurves = great_circle n=16\n")
+    with pytest.raises(ConfigError, match="two curve specs"):
+        run_scenario(str(p), "bad-weiner", output_dir=str(tmp_path))
+    assert released == [True, True]
+    monkeypatch.undo()
+    cli._release_heap()  # glibc's malloc_trim here; a no-op elsewhere
 
 
 def test_csf_scenario_runs(tmp_path):

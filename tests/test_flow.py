@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 
@@ -352,6 +353,34 @@ def test_fit_stays_serial_on_one_cpu_or_a_small_mesh(monkeypatch):
     assert fit_workers(m.topology, 2) is None
     cfg = FlowConfig(speed=mcf(), t_end=1e-3, sigma=0.7, smoothing=0.3, fit_order=2)
     assert run_flow(m, cfg).reason is StopReason.TIME_EXHAUSTED
+
+
+def test_refused_fork_falls_back_to_the_serial_fit(monkeypatch):
+    pipes = []
+    pipe = os.pipe
+
+    def recording_pipe():
+        pipes.extend(pipe())
+        return pipes[-2:]
+
+    def refused():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    m = make_geodesic_sphere(np.pi / 3, 4)
+    cfg = FlowConfig(speed=mcf(), t_end=2e-3, sigma=0.7, smoothing=0.3, fit_order=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = run_flow(m, cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", refused)
+    result = run_flow(m, cfg)
+    assert len(pipes) == 4
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert result.reason is serial.reason is StopReason.TIME_EXHAUSTED
+    assert result.final.step_index == serial.final.step_index > 1
+    assert np.array_equal(result.final.mesh.vertices, serial.final.mesh.vertices)
 
 
 # -- the radius oracle -----------------------------------------------------

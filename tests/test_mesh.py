@@ -1,10 +1,14 @@
+import itertools
 import os
+import threading
 
 import numpy as np
 import pytest
 
+from s3flow import mesh as mesh_module
 from s3flow.mesh import (
     FIT_BLOCK,
+    MAX_FIT_WORKERS,
     MeshError,
     SurfaceMesh,
     _icosphere,
@@ -417,7 +421,7 @@ def test_parallel_fit_bit_identical_to_serial(build, order, two_cpus):
 
 def test_not_spd_vertices_flagged_alone_by_every_process(two_cpus):
     # the construction of test_not_spd_vertex_flagged_alone on a level-4
-    # sphere, with a vertex in the block each process fits first
+    # sphere, with a vertex in the range of each process
     m = make_geodesic_sphere(np.pi / 2, 4)
     verts = m.vertices.copy()
     verts[:, 0] = 0.0
@@ -427,7 +431,7 @@ def test_not_spd_vertices_flagged_alone_by_every_process(two_cpus):
     for order in (2, 4):
         workers = fit_workers(m.topology, order)
         try:
-            assert workers.starts == [0, 10]
+            assert workers.ranges == [range(0, 10), range(10, 21)]
             picked = [100, 10 * FIT_BLOCK + 20]
             bent = normals.copy()
             for i in picked:
@@ -439,3 +443,40 @@ def test_not_spd_vertices_flagged_alone_by_every_process(two_cpus):
             workers.close()
         assert np.flatnonzero(c.flagged).tolist() == picked
         assert np.max(c.normA2) <= 1e-20
+
+
+def test_workers_pinned_off_the_cpu_the_parent_was_on(two_cpus, monkeypatch):
+    # the parent may move between CPUs while the worker's CPUs are chosen;
+    # the CPU it is on is read once
+    monkeypatch.setattr(mesh_module, "_current_cpu", itertools.cycle([0, 1]).__next__)
+    m = make_geodesic_sphere(np.pi / 3, 4)
+    workers = fit_workers(m.topology, 2)
+    try:
+        assert workers.cpus == [1]
+        got = estimate_curvature(m, order=2, workers=workers)
+    finally:
+        workers.close()
+    want = estimate_curvature(m, order=2)
+    assert np.array_equal(got.kappa1, want.kappa1)
+
+
+def test_worker_count_capped(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    workers = fit_workers(make_geodesic_sphere(np.pi / 3, 4).topology, 2)
+    try:
+        assert len(workers.pids) == MAX_FIT_WORKERS == 1
+        assert workers.ranges == [range(0, 10), range(10, 21)]
+    finally:
+        workers.close()
+
+
+def test_fit_stays_serial_while_another_thread_runs(two_cpus):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert fit_workers(make_geodesic_sphere(np.pi / 3, 4).topology, 2) is None
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
