@@ -16,7 +16,9 @@ A flow run writes ``trajectory.csv`` (frozen header
 ``t,min_G,max_A2,max_speed,area,epsilon_star,flags``), mesh snapshots at
 the snapshot cadence, and a ``summary`` file.  Exit status is 0 for the
 healthy outcomes (Converged / Extinct / TimeExhausted), 2 for
-ConditionBreached, 3 for MeshDegenerate, 1 for usage or config errors.
+ConditionBreached, 3 for MeshDegenerate, 4 for NumericalFailure (a NaN
+or infinity in the vertices, curvature, speed or step), 1 for usage or
+config errors.  Exits 3 and 4 print why the run stopped to stderr.
 Curve scenarios reuse the same trajectory header with max_speed the
 largest |kappa_g| and area the curve length.
 """
@@ -37,6 +39,7 @@ from . import s2curves as curvemod
 from .flow import FlowConfig, StopReason, run_flow
 from .gaussmaps import gauss_maps
 from .mesh import SurfaceMesh, estimate_curvature
+from .s2curves import write_rows
 from .speeds import make_speed
 
 OUTPUT_ROOT_ENV = "S3FLOW_OUTPUT_ROOT"
@@ -125,6 +128,11 @@ def parse_config(path):
             )
         if sc.kind == "flow" and not sc.surface:
             raise ConfigError(f"{path}: [{section}] flow scenario needs a surface")
+        if sc.kind == "flow":
+            try:
+                make_speed(sc.speed)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{section}] bad speed {sc.speed!r}: {exc}") from exc
         if sc.kind == "csf" and not sc.curve:
             raise ConfigError(f"{path}: [{section}] csf scenario needs a curve")
         if sc.kind == "weiner" and not sc.curves:
@@ -231,9 +239,9 @@ def export_mesh(mesh: SurfaceMesh, fmt, path, curvature=None, comment=""):
 def _export_raw4(mesh, path, comment):
     with open(path, "w") as fh:
         fh.write(f"# s3flow raw4 {comment}\n")
-        np.savetxt(fh, mesh.vertices, fmt="v," + ",".join([_FLOAT] * 4))
-        np.savetxt(fh, mesh.normals, fmt="n," + ",".join([_FLOAT] * 4))
-        np.savetxt(fh, mesh.triangles, fmt="t,%d,%d,%d")
+        write_rows(fh, "v," + ",".join([_FLOAT] * 4), mesh.vertices)
+        write_rows(fh, "n," + ",".join([_FLOAT] * 4), mesh.normals)
+        write_rows(fh, "t,%d,%d,%d", mesh.triangles)
 
 
 def import_raw4(path) -> SurfaceMesh:
@@ -284,8 +292,8 @@ def _export_obj3(mesh, path, comment):
         fh.write(f"# s3flow obj3 {comment}\n")
         fh.write("# stereographic projection pole: %s\n" % (_FLOAT9 % pole[0]
                  + " " + _FLOAT9 % pole[1] + " " + _FLOAT9 % pole[2] + " " + _FLOAT9 % pole[3]))
-        np.savetxt(fh, pts, fmt="v " + " ".join([_FLOAT9] * 3))
-        np.savetxt(fh, mesh.triangles + 1, fmt="f %d %d %d")
+        write_rows(fh, "v " + " ".join([_FLOAT9] * 3), pts)
+        write_rows(fh, "f %d %d %d", mesh.triangles + 1)
 
 
 def _export_vtk(mesh, curvature, path, comment):
@@ -297,13 +305,13 @@ def _export_vtk(mesh, curvature, path, comment):
         fh.write(f"s3flow snapshot {comment}\n")
         fh.write("ASCII\nDATASET POLYDATA\n")
         fh.write(f"POINTS {len(pts)} float\n")
-        np.savetxt(fh, pts, fmt=" ".join([_FLOAT9] * 3))
+        write_rows(fh, " ".join([_FLOAT9] * 3), pts)
         fh.write(f"POLYGONS {len(tri)} {4 * len(tri)}\n")
-        np.savetxt(fh, tri, fmt="3 %d %d %d")
+        write_rows(fh, "3 %d %d %d", tri)
         fh.write(f"POINT_DATA {len(pts)}\n")
         for name, vals in (("G", curvature.G), ("H", curvature.H), ("A2", curvature.normA2)):
             fh.write(f"SCALARS {name} float 1\nLOOKUP_TABLE default\n")
-            np.savetxt(fh, vals, fmt=_FLOAT)
+            write_rows(fh, _FLOAT, vals)
 
 
 def export_gauss_csv(mesh, path):
@@ -311,8 +319,8 @@ def export_gauss_csv(mesh, path):
     img = gauss_maps(mesh)
     with open(path, "w") as fh:
         fh.write("map,x,y,z\n")
-        np.savetxt(fh, img.left, fmt="left," + ",".join([_FLOAT] * 3))
-        np.savetxt(fh, img.right, fmt="right," + ",".join([_FLOAT] * 3))
+        write_rows(fh, "left," + ",".join([_FLOAT] * 3), img.left)
+        write_rows(fh, "right," + ",".join([_FLOAT] * 3), img.right)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +378,12 @@ def _run_flow_scenario(sc: Scenario, outdir):
         fh.write(f"max_speed: {_FLOAT % final_rep.max_abs_speed}\n")
         fh.write(f"area: {_FLOAT % final_rep.area}\n")
         fh.write(f"epsilon_star: {_FLOAT % final_rep.epsilon_star}\n")
+    if result.detail is not None:
+        print(f"{sc.name}: {result.reason.value}: {result.detail}", file=sys.stderr)
     return {
         StopReason.CONVERGED: 0, StopReason.EXTINCT: 0, StopReason.TIME_EXHAUSTED: 0,
         StopReason.CONDITION_BREACHED: 2, StopReason.MESH_DEGENERATE: 3,
+        StopReason.NUMERICAL_FAILURE: 4,
     }[result.reason]
 
 

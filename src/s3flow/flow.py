@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CurvatureData, FitWorkers, SurfaceMesh, estimate_curvature, fit_workers, padded
+from .mesh import CurvatureData, FitWorker, SurfaceMesh, estimate_curvature, fit_worker, padded
 # log_map is not called here; it stays bound because perfbench/layers.py
 # wraps flow.log_map by name
 from .s3core import geodesic_step, log_map, log_scale, normalize  # noqa: F401
@@ -32,12 +32,17 @@ class MeshDegenerateError(RuntimeError):
     """The evolving mesh collapsed below the quality thresholds."""
 
 
+class _NonFinite(ArithmeticError):
+    """A quantity of the run is NaN or infinite."""
+
+
 class StopReason(enum.Enum):
     CONVERGED = "Converged"
     EXTINCT = "Extinct"
     CONDITION_BREACHED = "ConditionBreached"
     TIME_EXHAUSTED = "TimeExhausted"
     MESH_DEGENERATE = "MeshDegenerate"
+    NUMERICAL_FAILURE = "NumericalFailure"
 
 
 @dataclass
@@ -100,6 +105,7 @@ class FlowResult:
     snapshots: list
     final: FlowState
     reason: StopReason
+    detail: str = None  # why a MeshDegenerate or NumericalFailure run stopped
 
 
 def omega_epsilon_member(k1, k2, eps):
@@ -178,13 +184,13 @@ def _check_degeneracy(mesh: SurfaceMesh):
 
 
 def flow_step(state: FlowState, speed: SpeedFunction, dt,
-              smoothing=0.0, fit_order=2, workers: FitWorkers = None,
+              smoothing=0.0, fit_order=2, worker: FitWorker = None,
               speed_values=None) -> FlowState:
     """One explicit step: every vertex moves along the great circle through
     its outward normal by arclength -F dt; normals and curvature are then
     recomputed from the new geometry.
 
-    ``workers`` are passed to :func:`estimate_curvature`.  ``speed_values``
+    ``worker`` is passed to :func:`estimate_curvature`.  ``speed_values``
     is F at the state's curvature, when the caller has evaluated it already.
     """
     if dt <= 0.0:
@@ -204,7 +210,7 @@ def flow_step(state: FlowState, speed: SpeedFunction, dt,
     return FlowState(
         t=state.t + dt,
         mesh=new_mesh,
-        curvature=estimate_curvature(new_mesh, order=fit_order, workers=workers),
+        curvature=estimate_curvature(new_mesh, order=fit_order, worker=worker),
         step_index=state.step_index + 1,
     )
 
@@ -245,21 +251,26 @@ def run_flow(mesh0: SurfaceMesh, config: FlowConfig) -> FlowResult:
     pipeline as every later step (generator-supplied analytic normals
     would make the t = 0 diagnostics incomparably sharper than the rest).
 
+    Every step checks the vertices, the curvature, the speed and dt for NaN
+    or infinity; a run that meets one stops as NumericalFailure.
+    ``FlowResult.detail`` names that quantity, or carries the message of a
+    MeshDegenerate stop.
+
     The curvature fit is shared with a forked worker where
-    :func:`mesh.fit_workers` starts one; it is ended when the run returns
+    :func:`mesh.fit_worker` starts one; it is ended when the run returns
     or raises.
     """
     mesh0 = mesh0.with_vertices(mesh0.vertices)
-    workers = fit_workers(mesh0.topology, config.fit_order)
+    worker = fit_worker(mesh0.topology, config.fit_order)
     try:
-        return _run(mesh0, config, workers)
+        return _run(mesh0, config, worker)
     finally:
-        if workers is not None:
-            workers.close()
+        if worker is not None:
+            worker.close()
 
 
-def _run(mesh0, config, workers):
-    curvature = estimate_curvature(mesh0, order=config.fit_order, workers=workers)
+def _run(mesh0, config, worker):
+    curvature = estimate_curvature(mesh0, order=config.fit_order, worker=worker)
     state = FlowState(0.0, mesh0, curvature, 0)
     times = []
     reports = []
@@ -272,38 +283,43 @@ def _run(mesh0, config, workers):
         if config.snapshot_every > 0 and (force or st.step_index % config.snapshot_every == 0):
             snapshots.append(st)
 
-    reason = None
-    while True:
-        record(state)
-        rep_minG = float(np.min(state.curvature.G))
-        if rep_minG < -config.g_floor:
-            reason = StopReason.CONDITION_BREACHED
-            break
-        if state.mesh.diameter_proxy() < config.width_tol:
-            reason = StopReason.EXTINCT
-            break
-        f = config.speed.eval(state.curvature.kappa1, state.curvature.kappa2)
-        if float(np.max(np.abs(f))) < config.speed_tol:
-            reason = StopReason.CONVERGED
-            break
-        if state.t >= config.t_end - 1e-14:
-            reason = StopReason.TIME_EXHAUSTED
-            break
-        if state.step_index >= config.max_steps:
-            reason = StopReason.TIME_EXHAUSTED
-            break
-        if config.dt is not None:
-            dt = config.dt
-        else:
-            dt = cfl_dt(state.mesh, state.curvature, config.speed,
-                        config.sigma, config.dt_max)
-        dt = min(dt, config.t_end - state.t)
-        try:
+    reason = detail = None
+    try:
+        while True:
+            record(state)
+            _check_finite(state.step_index, vertices=state.mesh.vertices,
+                          curvature=(state.curvature.kappa1, state.curvature.kappa2))
+            rep_minG = float(np.min(state.curvature.G))
+            if rep_minG < -config.g_floor:
+                reason = StopReason.CONDITION_BREACHED
+                break
+            if state.mesh.diameter_proxy() < config.width_tol:
+                reason = StopReason.EXTINCT
+                break
+            f = config.speed.eval(state.curvature.kappa1, state.curvature.kappa2)
+            _check_finite(state.step_index, speed=f)
+            if float(np.max(np.abs(f))) < config.speed_tol:
+                reason = StopReason.CONVERGED
+                break
+            if state.t >= config.t_end - 1e-14:
+                reason = StopReason.TIME_EXHAUSTED
+                break
+            if state.step_index >= config.max_steps:
+                reason = StopReason.TIME_EXHAUSTED
+                break
+            if config.dt is not None:
+                dt = config.dt
+            else:
+                dt = cfl_dt(state.mesh, state.curvature, config.speed,
+                            config.sigma, config.dt_max)
+            dt = min(dt, config.t_end - state.t)
+            _check_finite(state.step_index, dt=dt)
             state = flow_step(state, config.speed, dt, smoothing=config.smoothing,
-                              fit_order=config.fit_order, workers=workers, speed_values=f)
-        except MeshDegenerateError:
-            reason = StopReason.MESH_DEGENERATE
-            break
+                              fit_order=config.fit_order, worker=worker, speed_values=f)
+    except MeshDegenerateError as exc:
+        reason, detail = StopReason.MESH_DEGENERATE, str(exc)
+    except _NonFinite as exc:
+        reason, detail = StopReason.NUMERICAL_FAILURE, str(exc)
 
     if not times or times[-1] != state.t:
         record(state, force=True)
@@ -313,7 +329,16 @@ def _run(mesh0, config, workers):
         snapshots=snapshots,
         final=state,
         reason=reason,
+        detail=detail,
     )
+
+
+def _check_finite(step, **values):
+    """Raise _NonFinite naming the first of ``values`` that holds a NaN or
+    an infinity."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise _NonFinite(f"non-finite {name} at step {step}")
 
 
 @dataclass

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .s3core import (
+# log_map is not called here; it stays bound because perfbench/layers.py
+# wraps mesh.log_map by name
+from .s3core import (  # noqa: F401
     cross4,
     geodesic_distance,
     log_map,
@@ -559,8 +561,9 @@ class CurvatureData:
     G = 1 + kappa1 * kappa2 is the intrinsic curvature from the Gauss
     equation, identically equal to 1 + H**2/2 - normA2/2.
     ``flagged`` marks vertices whose fit was ill-conditioned or starved of
-    neighbours; their scalars are inherited from one-ring averages.  The
-    principal directions are not kept: the flow reads curvature values only.
+    neighbours; their scalars are inherited from one-ring averages (NaN
+    where no neighbour is unflagged).  The principal directions are not
+    kept: the flow reads curvature values only.
     """
 
     kappa1: np.ndarray
@@ -718,27 +721,22 @@ def _fit_blocks(frame, xz, topology, order, out, blocks):
 
 
 # Meshes below this size are fitted in one process.  Starting and ending the
-# workers costs about 4 ms per run, and the flows on level-3 spheres
+# worker costs about 4 ms per run, and the flows on level-3 spheres
 # (n = 642) showed no gain end to end.
 PARALLEL_MIN_VERTICES = 2048
 
-# Fit workers started by one flow run, however many CPUs the affinity mask
-# names.  The parallel fit has been measured on two CPUs only, with one
-# worker and one flow at a time; more workers, and several flows whose
-# workers pin themselves to the same CPUs, are unmeasured.
-MAX_FIT_WORKERS = 1
 
+class FitWorker:
+    """A forked process that takes half of the curvature fit of one topology.
 
-class FitWorkers:
-    """Forked processes that share the curvature fit of one topology.
-
-    The blocks of FIT_BLOCK vertices are split into one contiguous range
-    per process, the parent's first; each process runs :func:`_fit_blocks`
-    over its range.  The inputs (padded vertices and frames) and the
-    outputs (Hessian, condition, not-SPD mark) live in anonymous shared
-    mappings made before the fork, so nothing is pickled or copied through
-    a pipe; one byte on a pipe starts each worker's part of a fit, and one
-    byte back reports it done.
+    The blocks of FIT_BLOCK vertices are split into two contiguous ranges,
+    the parent's first, each fitted by :func:`_fit_blocks`.  The inputs
+    (padded vertices, frames) and outputs (Hessian, condition, not-SPD
+    mark) live in anonymous shared mappings made before the fork, so
+    nothing is pickled; one byte on a pipe starts the worker's part of a
+    fit, and one byte back reports it done.  The worker is pinned to
+    ``cpu``: where the kernel does not balance load between CPUs, a forked
+    process stays on its parent's CPU and the two share it.
 
     The split is fixed rather than balanced (a process that finishes early
     taking blocks left over): with a share that changed from fit to fit,
@@ -748,60 +746,43 @@ class FitWorkers:
     ``fork`` rather than ``spawn``: a spawned worker imports ``__main__``
     again, and a script that calls ``run_flow`` at module level would then
     fork without end.  Forking a process that runs other threads may
-    deadlock the child, so :func:`fit_workers` starts none while Python
-    runs a second thread; threads outside Python's knowledge, such as a
-    BLAS thread pool, are still there, and from Python 3.12 ``os.fork``
-    warns (DeprecationWarning) whenever the process has more than one
-    thread.  Workers leave through ``os._exit``; :meth:`close` reaps them.
+    deadlock the child, so :func:`fit_worker` starts none while Python runs
+    a second thread; a BLAS thread pool is still there, and from Python
+    3.12 ``os.fork`` warns (DeprecationWarning) about it.  The worker
+    leaves through ``os._exit``; :meth:`close` reaps it.
     """
 
-    def __init__(self, topology, order, cpus):
+    def __init__(self, topology, order, cpu):
         n = topology.n_vertices
         self.topology = topology
         self.order = order
+        self.cpu = cpu
         blocks = -(-n // FIT_BLOCK)
-        count = min(len(cpus), blocks, 1 + MAX_FIT_WORKERS)
-        self.ranges = [range(blocks * k // count, blocks * (k + 1) // count)
-                       for k in range(count)]
-        # each worker is pinned to a CPU other than the parent's: where the
-        # kernel does not balance load between CPUs, a forked process stays
-        # on its parent's CPU and the two share it
-        current = _current_cpu()
-        self.cpus = [c for c in sorted(cpus) if c != current]
+        self.ranges = [range(0, blocks // 2), range(blocks // 2, blocks)]
         self.xz = _shared((n + 1, 4))
         self.frame = _shared((n, 4, 4))
         self.out = (_shared((n, 3)), _shared((n,)), _shared((n,), bool))
-        self.pids, self.commands, self.replies = [], [], []
+        fds = []
         try:
-            for k in range(1, count):
-                self._start(k)
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
         except BaseException:
-            self.close()
-            raise
-
-    def _start(self, k):
-        cmd_r, cmd_w = os.pipe()
-        rep_r, rep_w = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            for fd in (cmd_r, cmd_w, rep_r, rep_w):
+            for fd in fds:
                 os.close(fd)
             raise
-        if pid == 0:  # the worker
+        cmd_r, self.command, self.reply, rep_w = fds
+        if self.pid == 0:  # the worker: one fit per byte, until the pipe ends
             status = 1
             try:
-                # the parent's ends, including those of earlier workers: a
-                # worker holding another's command pipe open would keep that
-                # one from seeing the end of the run
-                for fd in (cmd_w, rep_r, *self.commands, *self.replies):
-                    os.close(fd)
+                os.close(self.command)
+                os.close(self.reply)
                 try:
-                    os.sched_setaffinity(0, {self.cpus[(k - 1) % len(self.cpus)]})
+                    os.sched_setaffinity(0, {cpu})
                 except OSError:  # a CPU the mask names but this process may not use
                     pass
                 while os.read(cmd_r, 1):
-                    self._fit(k)
+                    self._fit(1)
                     os.write(rep_w, b"d")
                 status = 0
             except Exception:
@@ -811,13 +792,10 @@ class FitWorkers:
                 os._exit(status)
         os.close(cmd_r)
         os.close(rep_w)
-        self.pids.append(pid)
-        self.commands.append(cmd_w)
-        self.replies.append(rep_r)
 
-    def _fit(self, k):
+    def _fit(self, part):
         _fit_blocks(self.frame, self.xz, self.topology, self.order, self.out,
-                    self.ranges[k])
+                    self.ranges[part])
 
     def fit(self, topology, order, frame_rows, xz):
         """(hessian, cond, notspd) at every vertex, as the serial fit gives.
@@ -825,41 +803,36 @@ class FitWorkers:
         ``frame_rows`` are the (n, 4) arrays x, e1, e2, nu; the frames are
         stacked straight into the shared mapping.  The arrays returned are
         views of the shared mappings: the next fit overwrites them.  Raises
-        RuntimeError naming a worker that died.
+        RuntimeError naming the worker if it died.
         """
         if topology is not self.topology or order != self.order:
-            raise ValueError("fit workers were started for another topology or fit order")
+            raise ValueError("fit worker was started for another topology or fit order")
         np.stack(frame_rows, axis=1, out=self.frame)
         self.xz[...] = xz
-        for k, fd in enumerate(self.commands):
-            try:
-                os.write(fd, b"f")
-            except BrokenPipeError:
-                self._died(k)
+        try:
+            os.write(self.command, b"f")
+        except BrokenPipeError:
+            self._died()
         self._fit(0)
-        for k, fd in enumerate(self.replies):
-            if os.read(fd, 1) != b"d":
-                self._died(k)
+        if os.read(self.reply, 1) != b"d":
+            self._died()
         return self.out
 
-    def _died(self, k):
-        pid = self.pids[k]
-        _, status = os.waitpid(pid, 0)
-        self.pids[k] = None
-        code = os.waitstatus_to_exitcode(status)
+    def _died(self):
+        pid, self.pid = self.pid, None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
         raise RuntimeError(f"curvature fit worker {pid} {how}")
 
     def close(self):
-        """End the workers and reap them.  Safe to call more than once."""
-        for fd in self.commands:
-            os.close(fd)
-        for pid in self.pids:
-            if pid is not None:
-                os.waitpid(pid, 0)
-        for fd in self.replies:
-            os.close(fd)
-        self.pids, self.commands, self.replies = [], [], []
+        """End the worker and reap it.  Safe to call more than once."""
+        if self.command is None:
+            return
+        os.close(self.command)
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
+        os.close(self.reply)
+        self.pid = self.command = self.reply = None
 
 
 def _shared(shape, dtype=float):
@@ -878,13 +851,13 @@ def _current_cpu():
         return None
 
 
-def fit_workers(topology, order):
-    """Fit workers for a flow on ``topology`` at ``order``: one per CPU of
-    this process's affinity mask beyond the first, at most MAX_FIT_WORKERS.
-    None where the fit stays serial: one CPU, no ``os.fork``, fewer than
-    PARALLEL_MIN_VERTICES vertices, a second Python thread running, or a
-    worker that could not be started (``os.fork`` or a pipe or mapping
-    refused).  The caller closes them."""
+def fit_worker(topology, order):
+    """The fit worker for a flow on ``topology`` at ``order``, pinned to the
+    lowest CPU of this process's affinity mask other than the one this
+    process runs on.  None where the fit stays serial: one CPU, no
+    ``os.fork``, fewer than PARALLEL_MIN_VERTICES vertices, a second Python
+    thread running, or a worker that could not be started (``os.fork`` or
+    a pipe or mapping refused).  The caller closes it."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
     cpus = os.sched_getaffinity(0)
@@ -893,13 +866,13 @@ def fit_workers(topology, order):
     if threading.active_count() > 1:
         return None
     try:
-        return FitWorkers(topology, order, cpus)
+        return FitWorker(topology, order, min(cpus - {_current_cpu()}))
     except OSError:
         return None
 
 
 def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4,
-                       workers: FitWorkers = None) -> CurvatureData:
+                       worker: FitWorker = None) -> CurvatureData:
     """Estimate the shape operator at every vertex by local quadric fitting.
 
     One- and two-ring neighbours are mapped into T_x S3 by the spherical
@@ -920,11 +893,11 @@ def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4,
     than 5 usable neighbours, a matrix that is not positive definite, a
     condition proxy above ``cond_limit`` or a non-finite solution are
     flagged and inherit the average curvature of their unflagged one-ring
-    neighbours.
+    neighbours; with none to inherit from, their curvature is NaN.
 
-    ``workers``, from :func:`fit_workers` for this mesh's topology and
-    ``order``, split the fit across processes; the result is bit-identical
-    to the serial fit.
+    ``worker``, from :func:`fit_worker` for this mesh's topology and
+    ``order``, takes half of the fit; the result is bit-identical to the
+    serial fit.
     """
     x = mesh.vertices
     nu = mesh.normals
@@ -934,28 +907,28 @@ def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4,
     nbr = topo.two_ring_padded
     xz = padded(x)
 
-    # deterministic tangent frame: seed from the first two-ring neighbour
-    seed = log_map(x, xz[nbr[:, 0]])
-    seed = seed - np.sum(seed * nu, axis=1, keepdims=True) * nu
+    # deterministic tangent frame: e1 points at the first two-ring neighbour
+    # projected off x and nu (the theta / sin theta of log_x y would cancel
+    # in the normalisation), or where that vanishes, at (1, 0, 0, 0)
+    def off_x_and_nu(y):
+        return (y - np.einsum("nd,nd->n", y, x)[:, None] * x
+                - np.einsum("nd,nd->n", y, nu)[:, None] * nu)
+
+    seed = off_x_and_nu(xz[nbr[:, 0]])
     sn = np.linalg.norm(seed, axis=1, keepdims=True)
     bad_seed = sn[:, 0] < 1e-14
     if np.any(bad_seed):
-        # fall back to an arbitrary coordinate direction in the tangent plane
-        alt = np.zeros((n, 4))
-        alt[:, 0] = 1.0
-        alt = alt - np.sum(alt * x, axis=1, keepdims=True) * x
-        alt = alt - np.sum(alt * nu, axis=1, keepdims=True) * nu
-        seed = np.where(bad_seed[:, None], alt, seed)
+        seed = np.where(bad_seed[:, None], off_x_and_nu(np.tile(QUAT_ONE, (n, 1))), seed)
         sn = np.linalg.norm(seed, axis=1, keepdims=True)
     e1 = seed / sn
     e2 = normalize(cross4(x, nu, e1))
 
-    if workers is None:
+    if worker is None:
         hessian, cond, notspd = out = (np.empty((n, 3)), np.empty(n), np.empty(n, bool))
         _fit_blocks(np.stack([x, e1, e2, nu], axis=1), xz, topo, order, out,
                     range(-(-n // FIT_BLOCK)))
     else:
-        hessian, cond, notspd = workers.fit(topo, order, (x, e1, e2, nu), xz)
+        hessian, cond, notspd = worker.fit(topo, order, (x, e1, e2, nu), xz)
     flagged = (counts < 5) | notspd | ~np.isfinite(cond) | (cond > cond_limit)
     flagged |= ~np.all(np.isfinite(hessian), axis=1)
     a, b, c = hessian.T
@@ -967,18 +940,15 @@ def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4,
     kappa2 = mean - delta
 
     if np.any(flagged):
-        k1f = kappa1.copy()
-        k2f = kappa2.copy()
-        good = ~flagged
-        for i in np.flatnonzero(flagged):
-            ring = topo.one_ring_padded[i, :topo.one_ring_counts[i]]
-            ok = ring[good[ring]]
-            if len(ok):
-                k1f[i] = float(np.mean(kappa1[ok]))
-                k2f[i] = float(np.mean(kappa2[ok]))
-            else:
-                k1f[i] = 0.0
-                k2f[i] = 0.0
-        kappa1, kappa2 = k1f, k2f
+        # the mean over the unflagged one-ring, NaN with none to inherit
+        # from; np.where keeps a NaN at a flagged neighbour out of the sum
+        idx = np.flatnonzero(flagged)
+        ring = topo.one_ring_padded[idx]
+        ok = np.append(~flagged, False)[ring]
+        count = np.count_nonzero(ok, axis=1)[:, None]
+        kk = padded(np.stack([kappa1, kappa2], axis=1))[ring]
+        total = np.where(ok[:, :, None], kk, 0.0).sum(axis=1)
+        inherited = np.divide(total, count, out=np.full(total.shape, np.nan), where=count > 0)
+        kappa1[idx], kappa2[idx] = inherited.T
 
     return CurvatureData(kappa1=kappa1, kappa2=kappa2, flagged=flagged)

@@ -50,10 +50,20 @@ class S2Curve:
         return float(np.sum(self.gaps))
 
 
+def write_rows(fh, fmt, rows):
+    """Write ``fmt % tuple(row)`` and a newline for each row of ``rows`` (a
+    1-D array is one column), the text ``np.savetxt`` writes; savetxt
+    defines a class per call and leaves a reference cycle holding the file
+    until the garbage collector runs."""
+    rows = np.asarray(rows)
+    for row in rows[:, None] if rows.ndim == 1 else rows:
+        fh.write(fmt % tuple(row) + "\n")
+
+
 def save_curve_csv(curve: S2Curve, path):
     """Write the samples as CSV, one unit 3-vector per row (17 digits)."""
     with open(path, "w") as fh:
-        np.savetxt(fh, curve.samples, fmt="%.17g,%.17g,%.17g")
+        write_rows(fh, "%.17g,%.17g,%.17g", curve.samples)
 
 
 def load_curve_csv(path) -> S2Curve:

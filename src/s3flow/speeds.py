@@ -32,6 +32,8 @@ speeds are exactly f = C1 + C2 * arctan(H/2).
 
 from __future__ import annotations
 
+import ast
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -139,17 +141,61 @@ def affine_arctan(c1, c2):
     return SpeedFunction("affine_arctan", val, partials=parts, params=(c1, c2))
 
 
+_FH_FUNCTIONS = {
+    "arctan": np.arctan, "atan": np.arctan, "tanh": np.tanh, "exp": np.exp,
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "sqrt": np.sqrt,
+    "log": np.log, "abs": np.abs,
+}
+_FH_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
+
+
+def _fH_function(expr):
+    """f as a function of the array H, from the expression ``expr``.
+
+    The grammar: numbers, ``H`` and ``pi``; the operators + - * / ** and
+    unary + and -; and calls, with one argument, of the functions named in
+    ``_FH_FUNCTIONS``.  Python's operators act on the same values in the
+    same order as ``eval`` of the expression would, so the result is the
+    same to the bit.  Raises ValueError naming the first part outside the
+    grammar.
+    """
+    try:
+        tree = ast.parse(expr.strip(), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"custom_fH: cannot parse {expr!r}: {exc.msg}") from None
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return lambda h, c=node.value: c
+        if isinstance(node, ast.Name) and node.id in ("H", "pi"):
+            return (lambda h: h) if node.id == "H" else (lambda h: np.pi)
+        if isinstance(node, ast.BinOp) and type(node.op) in _FH_OPERATORS:
+            op, left, right = _FH_OPERATORS[type(node.op)], build(node.left), build(node.right)
+            return lambda h: op(left(h), right(h))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _FH_OPERATORS:
+            op, arg = _FH_OPERATORS[type(node.op)], build(node.operand)
+            return lambda h: op(arg(h))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FH_FUNCTIONS and len(node.args) == 1
+                and not node.keywords):
+            fn, arg = _FH_FUNCTIONS[node.func.id], build(node.args[0])
+            return lambda h: fn(arg(h))
+        raise ValueError(f"custom_fH: {ast.unparse(node)!r} is not allowed")
+
+    return build(tree.body)
+
+
 def custom_fH(expr, name="custom_fH"):
-    """Speed f(H) given as a numpy expression string in the variable H."""
-    ns = {
-        "arctan": np.arctan, "atan": np.arctan, "tanh": np.tanh, "exp": np.exp,
-        "sin": np.sin, "cos": np.cos, "tan": np.tan, "sqrt": np.sqrt,
-        "log": np.log, "abs": np.abs, "pi": np.pi,
-    }
+    """Speed f(H) given as an expression in the variable H (grammar in
+    :func:`_fH_function`); raises ValueError for anything else."""
+    f = _fH_function(expr)
 
     def val(k1, k2):
-        h = k1 + k2
-        return np.asarray(eval(expr, {"__builtins__": {}}, {**ns, "H": h}), dtype=float)
+        return np.asarray(f(k1 + k2), dtype=float)
 
     return SpeedFunction(name, val, params=(expr,))
 

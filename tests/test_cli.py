@@ -1,3 +1,4 @@
+import gc
 import os
 
 import numpy as np
@@ -8,6 +9,7 @@ from s3flow.cli import (
     ConfigError,
     build_curve,
     build_surface,
+    export_gauss_csv,
     export_mesh,
     import_raw4,
     list_scenarios,
@@ -17,6 +19,7 @@ from s3flow.cli import (
     stereographic,
 )
 from s3flow.mesh import estimate_curvature, make_clifford_torus, make_geodesic_sphere
+from s3flow.s2curves import make_latitude_circle, save_curve_csv
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUNDLED = os.path.join(REPO_ROOT, "examples.cfg")
@@ -66,6 +69,20 @@ def test_perturbation_requires_seed(tmp_path):
     )
     with pytest.raises(ConfigError, match="seed"):
         parse_config(str(p))
+
+
+@pytest.mark.parametrize("expr", [
+    "H.__class__.__name__", "__import__('os')", "(lambda: H)()", "H[0]",
+])
+def test_custom_speed_outside_the_grammar_rejected_at_load(expr, tmp_path):
+    p = tmp_path / "cfg.cfg"
+    p.write_text(
+        "[sphere]\nkind = flow\nsurface = geodesic_sphere r=1.0 level=1\n"
+        f"speed = custom_fH({expr})\n"
+    )
+    with pytest.raises(ConfigError, match=r"\[sphere\] bad speed .*is not allowed$"):
+        parse_config(p)
+    assert main(["list", str(p)]) == 1
 
 
 def test_missing_scenario_reported():
@@ -172,6 +189,23 @@ def test_vtk_export_carries_curvature_fields(tmp_path):
     assert abs(g_vals.min() - c.G.min()) < 1e-12
 
 
+def test_writers_leave_no_reference_cycles(tmp_path):
+    # with the collector off, every object the writers make is freed by
+    # reference counting alone, the open file and its buffer included
+    m = make_geodesic_sphere(1.0, 2)
+    curve = make_latitude_circle(1.0, 32)
+    gc.collect()
+    gc.disable()
+    try:
+        for fmt in ("raw4", "obj3", "vtk"):
+            export_mesh(m, fmt, tmp_path / f"m.{fmt}")
+        export_gauss_csv(m, tmp_path / "m.gauss.csv")
+        save_curve_csv(curve, tmp_path / "c.csv")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_stereographic_projection_formula():
     pole = np.array([-1.0, 0.0, 0.0, 0.0])
     q = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
@@ -264,7 +298,7 @@ def test_condition_breached_exits_2(tmp_path):
     assert "steps: 0\n" in summary
 
 
-def test_mesh_degenerate_exits_3(tmp_path, monkeypatch):
+def test_mesh_degenerate_exits_3(tmp_path, monkeypatch, capsys):
     def collapse(mesh):
         raise flow.MeshDegenerateError("edge collapsed")
 
@@ -278,6 +312,21 @@ def test_mesh_degenerate_exits_3(tmp_path, monkeypatch):
     summary = (tmp_path / "sphere" / "summary").read_text()
     assert "stop_reason: MeshDegenerate" in summary
     assert "steps: 0\n" in summary
+    assert capsys.readouterr().err == "sphere: MeshDegenerate: edge collapsed\n"
+
+
+def test_numerical_failure_exits_4(tmp_path, capsys):
+    p = tmp_path / "cfg.cfg"
+    p.write_text(
+        "[sphere]\nkind = flow\nsurface = geodesic_sphere r=1.0 level=2\n"
+        "speed = custom_fH(log(H-10))\nt_end = 1.0\n"
+    )
+    with np.errstate(invalid="ignore"):
+        assert main(["run", str(p), "sphere", "--output-dir", str(tmp_path)]) == 4
+    summary = (tmp_path / "sphere" / "summary").read_text()
+    assert "stop_reason: NumericalFailure" in summary
+    assert "steps: 0\n" in summary
+    assert capsys.readouterr().err == "sphere: NumericalFailure: non-finite speed at step 0\n"
 
 
 def test_export_verb_round_trip(tmp_path):

@@ -23,13 +23,13 @@ from s3flow.flow import (
 from s3flow.mesh import (
     SurfaceMesh,
     estimate_curvature,
-    fit_workers,
+    fit_worker,
     make_clifford_torus,
     make_geodesic_sphere,
     make_perturbed_sphere,
     mesh_quality,
 )
-from s3flow.speeds import arctan_speed, mcf
+from s3flow.speeds import arctan_speed, custom_fH, mcf
 
 CENTER = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -254,6 +254,52 @@ def test_mesh_degenerate_detected():
             st = flow_step(st, mcf(), 0.05, fit_order=2)
 
 
+def test_nan_speed_stops_as_numerical_failure():
+    # log(H - 10) is NaN wherever H < 10: on this sphere, from step 0 on
+    cfg = FlowConfig(speed=custom_fH("log(H-10)"), t_end=1.0, max_steps=200)
+    with np.errstate(invalid="ignore"):
+        result = run_flow(make_geodesic_sphere(1.0, 2), cfg)
+    assert result.reason is StopReason.NUMERICAL_FAILURE
+    assert result.detail == "non-finite speed at step 0"
+    assert result.final.step_index == 0
+
+
+def test_nonfinite_vertices_stop_the_run_at_that_step(monkeypatch):
+    steps = []
+    step = flow.geodesic_step
+
+    def nan_on_third_step(x, d, s):
+        steps.append(s)
+        out = step(x, d, s)
+        if len(steps) == 3:
+            out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(flow, "geodesic_step", nan_on_third_step)
+    with np.errstate(invalid="ignore"):
+        result = run_flow(make_geodesic_sphere(1.0, 2), FlowConfig(speed=mcf(), t_end=1.0))
+    assert result.reason is StopReason.NUMERICAL_FAILURE
+    assert result.detail == "non-finite vertices at step 3"
+    assert result.final.step_index == 3
+
+
+def test_vertices_with_no_unflagged_neighbour_stop_the_run(monkeypatch):
+    # from the third fit on, every vertex is flagged: none has a neighbour
+    # to inherit from, so its curvature is NaN and the run stops there
+    fits = []
+
+    def all_flagged_from_third_fit(mesh, **kwargs):
+        fits.append(mesh)
+        return estimate_curvature(mesh, cond_limit=0.0 if len(fits) >= 3 else 1e8, **kwargs)
+
+    monkeypatch.setattr(flow, "estimate_curvature", all_flagged_from_third_fit)
+    result = run_flow(make_geodesic_sphere(1.0, 2), FlowConfig(speed=mcf(), t_end=1.0))
+    assert result.reason is StopReason.NUMERICAL_FAILURE
+    assert result.detail == "non-finite curvature at step 2"
+    assert result.final.curvature.n_flagged == result.final.mesh.n_vertices
+    assert len(fits) == 3
+
+
 def _sliver(angle_deg, t=0.1):
     """Two triangles glued back to back on S3 with Euclidean corner angle
     ``angle_deg`` at vertex 0 and edges from vertex 0 of chord 2 sin(t/2).
@@ -278,22 +324,22 @@ def test_degeneracy_check_at_one_degree():
     _check_degeneracy(_sliver(1.1))
 
 
-# -- the fit workers of a run ----------------------------------------------
+# -- the fit worker of a run ----------------------------------------------
 
 
 @pytest.fixture
 def started(monkeypatch):
-    """An affinity mask of two CPUs, so that each run_flow starts one fit
-    worker on any machine; returns the worker pids of each run."""
+    """An affinity mask of two CPUs, so that each run_flow starts a fit
+    worker on any machine; returns the worker pid of each run."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     pids = []
 
     def recording(topology, order):
-        workers = fit_workers(topology, order)
-        pids.append(list(workers.pids))
-        return workers
+        worker = fit_worker(topology, order)
+        pids.append(worker.pid)
+        return worker
 
-    monkeypatch.setattr(flow, "fit_workers", recording)
+    monkeypatch.setattr(flow, "fit_worker", recording)
     return pids
 
 
@@ -314,15 +360,15 @@ def test_killed_fit_worker_raises_and_is_reaped(started, monkeypatch):
     def kill_on_third_fit(mesh, **kwargs):
         calls.append(mesh)
         if len(calls) == 3:
-            os.kill(kwargs["workers"].pids[0], signal.SIGKILL)
+            os.kill(kwargs["worker"].pid, signal.SIGKILL)
         return estimate_curvature(mesh, **kwargs)
 
     monkeypatch.setattr(flow, "estimate_curvature", kill_on_third_fit)
     with pytest.raises(RuntimeError, match=r"^curvature fit worker \d+ killed by signal 9$"):
         run_flow(make_geodesic_sphere(np.pi / 3, 4), MCF_L4)
     assert len(calls) == 3
-    assert [len(p) for p in started] == [1]
-    assert all(_reaped(pid) for pid in started[0])
+    assert len(started) == 1
+    assert _reaped(started[0])
 
 
 def test_mesh_degenerate_stop_leaves_no_fit_worker(started, monkeypatch):
@@ -337,8 +383,8 @@ def test_mesh_degenerate_stop_leaves_no_fit_worker(started, monkeypatch):
     result = run_flow(make_geodesic_sphere(np.pi / 3, 4), MCF_L4)
     assert result.reason is StopReason.MESH_DEGENERATE
     assert result.final.step_index == 2
-    assert [len(p) for p in started] == [1]
-    assert all(_reaped(pid) for pid in started[0])
+    assert len(started) == 1
+    assert _reaped(started[0])
 
 
 def test_fit_stays_serial_on_one_cpu_or_a_small_mesh(monkeypatch):
@@ -347,10 +393,10 @@ def test_fit_stays_serial_on_one_cpu_or_a_small_mesh(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert fit_workers(make_geodesic_sphere(np.pi / 3, 3).topology, 2) is None
+    assert fit_worker(make_geodesic_sphere(np.pi / 3, 3).topology, 2) is None
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     m = make_geodesic_sphere(np.pi / 3, 4)
-    assert fit_workers(m.topology, 2) is None
+    assert fit_worker(m.topology, 2) is None
     cfg = FlowConfig(speed=mcf(), t_end=1e-3, sigma=0.7, smoothing=0.3, fit_order=2)
     assert run_flow(m, cfg).reason is StopReason.TIME_EXHAUSTED
 

@@ -8,12 +8,11 @@ import pytest
 from s3flow import mesh as mesh_module
 from s3flow.mesh import (
     FIT_BLOCK,
-    MAX_FIT_WORKERS,
     MeshError,
     SurfaceMesh,
     _icosphere,
     estimate_curvature,
-    fit_workers,
+    fit_worker,
     make_clifford_torus,
     make_geodesic_sphere,
     make_hopf_torus,
@@ -388,13 +387,34 @@ def test_nonfinite_vertex_inherits_one_ring():
     np.testing.assert_allclose(c.kappa2[others], clean.kappa2[others], rtol=0, atol=1e-12)
 
 
-# -- the fit split across forked workers -------------------------------------
+def test_flagged_vertices_take_the_mean_of_their_unflagged_one_ring():
+    # Non-finite normals flag vertex i and its whole one-ring.  Each ring
+    # vertex takes the mean of its unflagged neighbours, as a loop over the
+    # flagged vertices computes it; i has none and gets NaN.
+    m = make_geodesic_sphere(np.pi / 3, 3)
+    topo = m.topology
+    i = 100
+    picked = [i, *topo.one_ring_padded[i, :topo.one_ring_counts[i]]]
+    normals = m.normals.copy()
+    normals[picked] = np.nan
+    c = estimate_curvature(m.with_vertices(m.vertices, normals=normals))
+    assert np.flatnonzero(c.flagged).tolist() == sorted(picked)
+    assert np.isnan(c.kappa1[i]) and np.isnan(c.kappa2[i])
+    for j in picked[1:]:
+        ring = topo.one_ring_padded[j, :topo.one_ring_counts[j]]
+        ok = ring[~c.flagged[ring]]
+        assert len(ok)
+        assert c.kappa1[j] == float(np.mean(c.kappa1[ok]))
+        assert c.kappa2[j] == float(np.mean(c.kappa2[ok]))
+
+
+# -- the fit shared with a forked worker -------------------------------------
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """An affinity mask of two CPUs, so that fit_workers starts one worker
-    on any machine."""
+    """An affinity mask of two CPUs, so that fit_worker starts a worker on
+    any machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
@@ -403,16 +423,16 @@ def two_cpus(monkeypatch):
     (lambda: make_clifford_torus(64, 64), 2),
 ], ids=["sphere-l4-order4", "clifford-64-order2"])
 def test_parallel_fit_bit_identical_to_serial(build, order, two_cpus):
-    # two fits by the same workers, as in two steps of a flow: the mesh,
+    # two fits by the same worker, as in two steps of a flow: the mesh,
     # then the mesh pushed off along its normals
     m = build()
     meshes = (m, m.with_vertices(normalize(m.vertices + 0.01 * m.normals)))
-    workers = fit_workers(m.topology, order)
+    worker = fit_worker(m.topology, order)
     try:
-        assert len(workers.pids) == 1
-        got = [estimate_curvature(mesh, order=order, workers=workers) for mesh in meshes]
+        assert worker.pid > 0
+        got = [estimate_curvature(mesh, order=order, worker=worker) for mesh in meshes]
     finally:
-        workers.close()
+        worker.close()
     for mesh, g in zip(meshes, got):
         want = estimate_curvature(mesh, order=order)
         for name in ("kappa1", "kappa2", "flagged"):
@@ -429,45 +449,56 @@ def test_not_spd_vertices_flagged_alone_by_every_process(two_cpus):
     normals = np.tile([1.0, 0.0, 0.0, 0.0], (m.n_vertices, 1))
     t = np.array([0.0, 1.0, 2.0, 3.0])
     for order in (2, 4):
-        workers = fit_workers(m.topology, order)
+        worker = fit_worker(m.topology, order)
         try:
-            assert workers.ranges == [range(0, 10), range(10, 21)]
+            assert worker.ranges == [range(0, 10), range(10, 21)]
             picked = [100, 10 * FIT_BLOCK + 20]
             bent = normals.copy()
             for i in picked:
                 bent[i] = t - (t @ verts[i]) * verts[i]
                 bent[i] /= np.linalg.norm(bent[i])
             c = estimate_curvature(m.with_vertices(verts, normals=bent), order=order,
-                                   workers=workers)
+                                   worker=worker)
         finally:
-            workers.close()
+            worker.close()
         assert np.flatnonzero(c.flagged).tolist() == picked
         assert np.max(c.normA2) <= 1e-20
 
 
 def test_workers_pinned_off_the_cpu_the_parent_was_on(two_cpus, monkeypatch):
-    # the parent may move between CPUs while the worker's CPUs are chosen;
+    # the parent may move between CPUs while the worker's CPU is chosen;
     # the CPU it is on is read once
     monkeypatch.setattr(mesh_module, "_current_cpu", itertools.cycle([0, 1]).__next__)
     m = make_geodesic_sphere(np.pi / 3, 4)
-    workers = fit_workers(m.topology, 2)
+    worker = fit_worker(m.topology, 2)
     try:
-        assert workers.cpus == [1]
-        got = estimate_curvature(m, order=2, workers=workers)
+        assert worker.cpu == 1
+        got = estimate_curvature(m, order=2, worker=worker)
     finally:
-        workers.close()
+        worker.close()
     want = estimate_curvature(m, order=2)
     assert np.array_equal(got.kappa1, want.kappa1)
 
 
 def test_worker_count_capped(monkeypatch):
+    # eight CPUs in the mask still fork one worker, which takes half the fit
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    workers = fit_workers(make_geodesic_sphere(np.pi / 3, 4).topology, 2)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(mesh_module, "_current_cpu", lambda: 0)
+    worker = fit_worker(make_geodesic_sphere(np.pi / 3, 4).topology, 2)
     try:
-        assert len(workers.pids) == MAX_FIT_WORKERS == 1
-        assert workers.ranges == [range(0, 10), range(10, 21)]
+        assert len(forks) == 1
+        assert worker.cpu == 1
+        assert worker.ranges == [range(0, 10), range(10, 21)]
     finally:
-        workers.close()
+        worker.close()
 
 
 def test_fit_stays_serial_while_another_thread_runs(two_cpus):
@@ -475,7 +506,7 @@ def test_fit_stays_serial_while_another_thread_runs(two_cpus):
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert fit_workers(make_geodesic_sphere(np.pi / 3, 4).topology, 2) is None
+        assert fit_worker(make_geodesic_sphere(np.pi / 3, 4).topology, 2) is None
     finally:
         release.set()
         other.join(timeout=10)

@@ -115,6 +115,29 @@ def test_custom_fH_finite_difference_partials():
     np.testing.assert_allclose(d2, 3.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("expr", ["H**3 + H", "arctan(H/2)"])
+def test_custom_fH_matches_eval_bit_for_bit(expr):
+    # the reference is the namespace eval that custom_fH used to run
+    ns = {
+        "arctan": np.arctan, "atan": np.arctan, "tanh": np.tanh, "exp": np.exp,
+        "sin": np.sin, "cos": np.cos, "tan": np.tan, "sqrt": np.sqrt,
+        "log": np.log, "abs": np.abs, "pi": np.pi,
+    }
+    rng = np.random.default_rng(3)
+    k1, k2 = 3.0 * rng.standard_normal((2, 1000))
+    want = np.asarray(eval(expr, {"__builtins__": {}}, {**ns, "H": k1 + k2}), dtype=float)
+    assert np.array_equal(custom_fH(expr).eval(k1, k2), want)
+
+
+@pytest.mark.parametrize("expr", [
+    "H.__class__.__name__", "__import__('os')", "(lambda: H)()", "H[0]",
+    "arctan(H, H)", "'H'", "H <",
+])
+def test_custom_fH_rejects_text_outside_its_grammar(expr):
+    with pytest.raises(ValueError, match="^custom_fH: "):
+        custom_fH(expr)
+
+
 # -- Z term --------------------------------------------------------------
 
 
