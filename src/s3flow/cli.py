@@ -30,7 +30,8 @@ import configparser
 import ctypes
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -47,13 +48,6 @@ OUTPUT_ROOT_ENV = "S3FLOW_OUTPUT_ROOT"
 _FLOAT = "%.17g"
 _FLOAT9 = "%.9g"
 
-_KNOWN_KEYS = {
-    "description", "kind", "surface", "curve", "curves", "speed", "t_end",
-    "dt", "sigma", "dt_max", "speed_tol", "width_tol", "g_floor", "cadence",
-    "snapshot_every", "smoothing", "fit_order", "perturbation", "seed",
-    "exports", "resample", "length_tol",
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -61,6 +55,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class Scenario:
+    """One config section: every field but ``name`` is a key, read as its type."""
+
     name: str
     kind: str = "flow"
     description: str = ""
@@ -69,28 +65,30 @@ class Scenario:
     curves: str = None
     speed: str = "arctan"
     t_end: float = 0.1
-    dt: float = None
-    sigma: float = 0.25
-    dt_max: float = 1e-2
-    speed_tol: float = 1e-6
-    width_tol: float = 0.05
-    g_floor: float = 0.05
-    cadence: int = 1
-    snapshot_every: int = 0
-    smoothing: float = 0.0
-    fit_order: int = 2
+    dt: float = FlowConfig.dt
+    sigma: float = FlowConfig.sigma
+    dt_max: float = FlowConfig.dt_max
+    speed_tol: float = FlowConfig.speed_tol
+    width_tol: float = FlowConfig.width_tol
+    g_floor: float = FlowConfig.g_floor
+    cadence: int = FlowConfig.cadence
+    snapshot_every: int = FlowConfig.snapshot_every
+    smoothing: float = FlowConfig.smoothing
+    fit_order: int = FlowConfig.fit_order
     perturbation: float = 0.0
     seed: int = None
-    exports: tuple = field(default_factory=tuple)
+    exports: tuple = ()
     resample: bool = True
     length_tol: float = 0.05
 
 
-def _parse_scalar(name, raw, cast):
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {name}: {raw!r}") from exc
+_READ = {str: str.strip, int: int, float: float,
+         bool: lambda raw: raw.strip().lower() in ("1", "true", "yes", "on"),
+         tuple: lambda raw: tuple(t.strip() for t in raw.split(",") if t.strip())}
+# config key -> reader of its text
+_KEYS = {key: _READ[kind] for key, kind in get_type_hints(Scenario).items() if key != "name"}
+# the keys that are also FlowConfig fields, which a flow scenario passes on
+_FLOW_KEYS = [f.name for f in fields(FlowConfig) if f.name in _KEYS]
 
 
 def parse_config(path):
@@ -108,19 +106,13 @@ def parse_config(path):
     for section in cp.sections():
         sc = Scenario(name=section)
         for key, raw in cp.items(section):
-            if key not in _KNOWN_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}: [{section}] unknown key {key!r}")
-            if key in ("description", "kind", "surface", "curve", "curves", "speed"):
-                setattr(sc, key, raw.strip())
-            elif key in ("cadence", "snapshot_every", "seed", "fit_order"):
-                setattr(sc, key, _parse_scalar(key, raw, int))
-            elif key == "exports":
-                sc.exports = tuple(t.strip() for t in raw.split(",") if t.strip())
-            elif key == "resample":
-                sc.resample = raw.strip().lower() in ("1", "true", "yes", "on")
-            else:
-                setattr(sc, key, _parse_scalar(key, raw, float))
-        if sc.kind not in ("flow", "csf", "weiner"):
+            try:
+                setattr(sc, key, _KEYS[key](raw))
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        if sc.kind not in _RUNNERS:
             raise ConfigError(f"{path}: [{section}] unknown kind {sc.kind!r}")
         if sc.perturbation > 0.0 and sc.seed is None:
             raise ConfigError(
@@ -138,75 +130,75 @@ def parse_config(path):
         if sc.kind == "weiner" and not sc.curves:
             raise ConfigError(f"{path}: [{section}] weiner scenario needs curves")
         for fmt in sc.exports:
-            if fmt not in ("raw4", "obj3", "vtk", "gauss_csv"):
+            if fmt not in _EXPORTS:
                 raise ConfigError(f"{path}: [{section}] unknown export format {fmt!r}")
         scenarios[section] = sc
     return scenarios
 
 
-def _parse_kv(tokens):
+def _parse_spec(spec, what):
+    """``<generator> key=value ...`` -> (generator, {key: value})."""
+    tokens = spec.split()
+    if not tokens:
+        raise ConfigError(f"empty {what} spec")
     out = {}
-    for tok in tokens:
+    for tok in tokens[1:]:
         if "=" not in tok:
             raise ConfigError(f"expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
         out[k] = v
-    return out
+    return tokens[0], out
+
+
+def _args(what, gen, kv, *required, **optional):
+    """The values of the ``required`` args, then of the ``optional`` ones
+    (given as their defaults), of the spec of generator ``gen``; a missing
+    or unknown arg is a ConfigError."""
+    for key in required:
+        if key not in kv:
+            raise ConfigError(f"{what} generator {gen!r} needs {key}=")
+    unknown = sorted(set(kv) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"unknown {what} args {unknown}")
+    return [kv[key] for key in required] + [kv.get(k, v) for k, v in optional.items()]
 
 
 def build_surface(spec, perturbation=0.0, seed=None):
-    tokens = spec.split()
-    if not tokens:
-        raise ConfigError("empty surface spec")
-    gen, kv = tokens[0], _parse_kv(tokens[1:])
+    gen, kv = _parse_spec(spec, "surface")
     if gen == "geodesic_sphere":
-        r = float(kv.pop("r"))
-        level = int(kv.pop("level"))
-        if kv:
-            raise ConfigError(f"unknown surface args {sorted(kv)}")
+        r, level = _args("surface", gen, kv, "r", "level")
         if perturbation > 0.0:
-            return meshmod.make_perturbed_sphere(r, level, perturbation, seed)
-        return meshmod.make_geodesic_sphere(r, level)
+            return meshmod.make_perturbed_sphere(float(r), int(level), perturbation, seed)
+        return meshmod.make_geodesic_sphere(float(r), int(level))
     if perturbation > 0.0:
         raise ConfigError("perturbation is only supported for geodesic_sphere")
     if gen == "clifford":
-        nu = int(kv.pop("nu"))
-        nv = int(kv.pop("nv"))
-        if kv:
-            raise ConfigError(f"unknown surface args {sorted(kv)}")
-        return meshmod.make_clifford_torus(nu, nv)
+        nu, nv = _args("surface", gen, kv, "nu", "nv")
+        return meshmod.make_clifford_torus(int(nu), int(nv))
     if gen == "hopf_latitude":
-        theta = float(kv.pop("theta"))
-        n_curve = int(kv.pop("n_curve"))
-        n_fiber = int(kv.pop("n_fiber"))
-        if kv:
-            raise ConfigError(f"unknown surface args {sorted(kv)}")
-        base = curvemod.make_latitude_circle(theta, n_curve)
-        return meshmod.make_hopf_torus(base, n_fiber)
+        theta, n_curve, n_fiber = _args("surface", gen, kv, "theta", "n_curve", "n_fiber")
+        base = curvemod.make_latitude_circle(float(theta), int(n_curve))
+        return meshmod.make_hopf_torus(base, int(n_fiber))
     if gen == "hopf_csv":
-        base = curvemod.load_curve_csv(kv.pop("path"))
-        n_fiber = int(kv.pop("n_fiber"))
-        if kv:
-            raise ConfigError(f"unknown surface args {sorted(kv)}")
-        return meshmod.make_hopf_torus(base, n_fiber)
+        path, n_fiber = _args("surface", gen, kv, "path", "n_fiber")
+        return meshmod.make_hopf_torus(curvemod.load_curve_csv(path), int(n_fiber))
     if gen == "raw4":
-        return import_raw4(kv.pop("path"))
+        (path,) = _args("surface", gen, kv, "path")
+        return import_raw4(path)
     raise ConfigError(f"unknown surface generator {gen!r}")
 
 
 def build_curve(spec):
-    tokens = spec.split()
-    if not tokens:
-        raise ConfigError("empty curve spec")
-    gen, kv = tokens[0], _parse_kv(tokens[1:])
+    gen, kv = _parse_spec(spec, "curve")
     if gen == "latitude_circle":
-        return curvemod.make_latitude_circle(float(kv["theta"]), int(kv["n"]))
+        theta, n = _args("curve", gen, kv, "theta", "n")
+        return curvemod.make_latitude_circle(float(theta), int(n))
     if gen == "great_circle":
-        n = int(kv.get("n", 128))
-        axis = tuple(float(t) for t in kv.get("axis", "0,0,1").split(","))
-        return curvemod.make_great_circle(axis, n)
+        n, axis = _args("curve", gen, kv, n="128", axis="0,0,1")
+        return curvemod.make_great_circle(tuple(float(t) for t in axis.split(",")), int(n))
     if gen == "csv":
-        return curvemod.load_curve_csv(kv["path"])
+        (path,) = _args("curve", gen, kv, "path")
+        return curvemod.load_curve_csv(path)
     raise ConfigError(f"unknown curve generator {gen!r}")
 
 
@@ -224,19 +216,12 @@ def export_mesh(mesh: SurfaceMesh, fmt, path, curvature=None, comment=""):
     never analyze projected data).  vtk: legacy ASCII polydata with
     per-vertex scalar fields G, H, A2.
     """
-    if fmt == "raw4":
-        _export_raw4(mesh, path, comment)
-    elif fmt == "obj3":
-        _export_obj3(mesh, path, comment)
-    elif fmt == "vtk":
-        if curvature is None:
-            curvature = estimate_curvature(mesh)
-        _export_vtk(mesh, curvature, path, comment)
-    else:
+    if fmt not in _MESH_FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
+    _EXPORTS[fmt][1](mesh, path, curvature, comment)
 
 
-def _export_raw4(mesh, path, comment):
+def _export_raw4(mesh, path, curvature, comment):
     with open(path, "w") as fh:
         fh.write(f"# s3flow raw4 {comment}\n")
         write_rows(fh, "v," + ",".join([_FLOAT] * 4), mesh.vertices)
@@ -261,12 +246,8 @@ def import_raw4(path) -> SurfaceMesh:
                        normals=normals if len(normals) else None)
 
 
-_POLE_CANDIDATES = [
-    np.array([-1.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]),
-    np.array([0.0, -1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]),
-    np.array([0.0, 0.0, -1.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0]),
-    np.array([0.0, 0.0, 0.0, -1.0]), np.array([0.0, 0.0, 0.0, 1.0]),
-]
+# -e0, e0, -e1, e1, ...; 0.0 - e keeps the zeros positive, as obj3 prints them
+_POLE_CANDIDATES = [pole for e in np.eye(4) for pole in (0.0 - e, e)]
 
 
 def _select_pole(vertices):
@@ -285,18 +266,19 @@ def stereographic(vertices, pole):
     return (rest / (1.0 - d)[:, None]) @ basis.T
 
 
-def _export_obj3(mesh, path, comment):
+def _export_obj3(mesh, path, curvature, comment):
     pole = _select_pole(mesh.vertices)
     pts = stereographic(mesh.vertices, pole)
     with open(path, "w") as fh:
         fh.write(f"# s3flow obj3 {comment}\n")
-        fh.write("# stereographic projection pole: %s\n" % (_FLOAT9 % pole[0]
-                 + " " + _FLOAT9 % pole[1] + " " + _FLOAT9 % pole[2] + " " + _FLOAT9 % pole[3]))
+        fh.write("# stereographic projection pole: %s\n" % " ".join(_FLOAT9 % c for c in pole))
         write_rows(fh, "v " + " ".join([_FLOAT9] * 3), pts)
         write_rows(fh, "f %d %d %d", mesh.triangles + 1)
 
 
-def _export_vtk(mesh, curvature, path, comment):
+def _export_vtk(mesh, path, curvature, comment):
+    if curvature is None:
+        curvature = estimate_curvature(mesh)
     pole = _select_pole(mesh.vertices)
     pts = stereographic(mesh.vertices, pole)
     tri = mesh.triangles
@@ -323,6 +305,17 @@ def export_gauss_csv(mesh, path):
         write_rows(fh, "right," + ",".join([_FLOAT] * 3), img.right)
 
 
+# export format -> (suffix of a snapshot file, writer of (mesh, path, curvature,
+# comment)); gauss_csv is written by export_gauss_csv, not by export_mesh
+_EXPORTS = {
+    "raw4": (".raw4", _export_raw4),
+    "obj3": (".obj", _export_obj3),
+    "vtk": (".vtk", _export_vtk),
+    "gauss_csv": (".gauss.csv", None),
+}
+_MESH_FORMATS = tuple(fmt for fmt, (_, write) in _EXPORTS.items() if write)
+
+
 # ---------------------------------------------------------------------------
 # scenario execution
 # ---------------------------------------------------------------------------
@@ -347,37 +340,36 @@ def _write_trajectory(path, times, reports):
             ]) + "\n")
 
 
+def _write_fields(path, **values):
+    """One ``key: value`` line per keyword, in order; floats to 17 digits."""
+    with open(path, "w") as fh:
+        for key, value in values.items():
+            fh.write(f"{key}: {_FLOAT % value if isinstance(value, float) else value}\n")
+
+
 def _run_flow_scenario(sc: Scenario, outdir):
     mesh0 = build_surface(sc.surface, sc.perturbation, sc.seed)
-    config = FlowConfig(
-        speed=make_speed(sc.speed), t_end=sc.t_end, dt=sc.dt, sigma=sc.sigma,
-        dt_max=sc.dt_max, speed_tol=sc.speed_tol, width_tol=sc.width_tol,
-        g_floor=sc.g_floor, cadence=sc.cadence,
-        snapshot_every=sc.snapshot_every if sc.exports else 0,
-        smoothing=sc.smoothing, fit_order=sc.fit_order,
-    )
+    config = FlowConfig(**{
+        **{key: getattr(sc, key) for key in _FLOW_KEYS},
+        "speed": make_speed(sc.speed),
+        "snapshot_every": sc.snapshot_every if sc.exports else 0,
+    })
     result = run_flow(mesh0, config)
     _write_trajectory(os.path.join(outdir, "trajectory.csv"), result.times, result.reports)
     for i, st in enumerate(result.snapshots):
         stem = os.path.join(outdir, f"snapshot_{i:05d}")
         for fmt in sc.exports:
-            if fmt == "gauss_csv":
-                export_gauss_csv(st.mesh, stem + ".gauss.csv")
-            else:
-                ext = {"raw4": ".raw4", "obj3": ".obj", "vtk": ".vtk"}[fmt]
-                export_mesh(st.mesh, fmt, stem + ext, curvature=st.curvature,
+            path = stem + _EXPORTS[fmt][0]
+            if fmt in _MESH_FORMATS:
+                export_mesh(st.mesh, fmt, path, curvature=st.curvature,
                             comment=f"t={_FLOAT % st.t}")
-    final_rep = result.reports[-1]
-    with open(os.path.join(outdir, "summary"), "w") as fh:
-        fh.write(f"scenario: {sc.name}\n")
-        fh.write(f"stop_reason: {result.reason.value}\n")
-        fh.write(f"t_final: {_FLOAT % result.final.t}\n")
-        fh.write(f"steps: {result.final.step_index}\n")
-        fh.write(f"min_G: {_FLOAT % final_rep.min_G}\n")
-        fh.write(f"max_A2: {_FLOAT % final_rep.max_normA2}\n")
-        fh.write(f"max_speed: {_FLOAT % final_rep.max_abs_speed}\n")
-        fh.write(f"area: {_FLOAT % final_rep.area}\n")
-        fh.write(f"epsilon_star: {_FLOAT % final_rep.epsilon_star}\n")
+            else:
+                export_gauss_csv(st.mesh, path)
+    final = result.reports[-1]
+    _write_fields(os.path.join(outdir, "summary"), scenario=sc.name,
+                  stop_reason=result.reason.value, t_final=result.final.t,
+                  steps=result.final.step_index, min_G=final.min_G, max_A2=final.max_normA2,
+                  max_speed=final.max_abs_speed, area=final.area, epsilon_star=final.epsilon_star)
     if result.detail is not None:
         print(f"{sc.name}: {result.reason.value}: {result.detail}", file=sys.stderr)
     return {
@@ -399,12 +391,9 @@ def _run_csf_scenario(sc: Scenario, outdir):
                 _FLOAT % t, "0", "nan", "nan", _FLOAT % length, "inf", "n/a",
             ]) + "\n")
     k_final, _ = curvemod.geodesic_curvature(res.final)
-    with open(os.path.join(outdir, "summary"), "w") as fh:
-        fh.write(f"scenario: {sc.name}\n")
-        fh.write(f"stop_reason: {res.status}\n")
-        fh.write(f"t_final: {_FLOAT % res.times[-1]}\n")
-        fh.write(f"length_final: {_FLOAT % res.lengths[-1]}\n")
-        fh.write(f"max_kappa_g: {_FLOAT % float(np.max(np.abs(k_final)))}\n")
+    _write_fields(os.path.join(outdir, "summary"), scenario=sc.name, stop_reason=res.status,
+                  t_final=res.times[-1], length_final=res.lengths[-1],
+                  max_kappa_g=float(np.max(np.abs(k_final))))
     for i, cur in enumerate(res.curves):
         curvemod.save_curve_csv(cur, os.path.join(outdir, f"curve_{i:05d}.csv"))
     return 0
@@ -417,18 +406,17 @@ def _run_weiner_scenario(sc: Scenario, outdir):
     g1 = build_curve(parts[0])
     g2 = build_curve(parts[1])
     rep = curvemod.weiner_check(g1, g2)
-    with open(os.path.join(outdir, "weiner_report.txt"), "w") as fh:
-        fh.write(f"total_curvature_1: {_FLOAT % rep.total_curvature[0]}\n")
-        fh.write(f"total_curvature_2: {_FLOAT % rep.total_curvature[1]}\n")
-        fh.write(f"sup_1: {_FLOAT % rep.sup1}\n")
-        fh.write(f"sup_2: {_FLOAT % rep.sup2}\n")
-        fh.write(f"sup_pair: {_FLOAT % rep.sup_pair}\n")
-        fh.write(f"verdict: {'pass' if rep.verdict else 'fail'}\n")
-    with open(os.path.join(outdir, "summary"), "w") as fh:
-        fh.write(f"scenario: {sc.name}\n")
-        fh.write("stop_reason: WeinerCheck\n")
-        fh.write(f"verdict: {'pass' if rep.verdict else 'fail'}\n")
+    verdict = "pass" if rep.verdict else "fail"
+    total_1, total_2 = rep.total_curvature
+    _write_fields(os.path.join(outdir, "weiner_report.txt"),
+                  total_curvature_1=total_1, total_curvature_2=total_2,
+                  sup_1=rep.sup1, sup_2=rep.sup2, sup_pair=rep.sup_pair, verdict=verdict)
+    _write_fields(os.path.join(outdir, "summary"), scenario=sc.name,
+                  stop_reason="WeinerCheck", verdict=verdict)
     return 0
+
+
+_RUNNERS = {"flow": _run_flow_scenario, "csf": _run_csf_scenario, "weiner": _run_weiner_scenario}
 
 
 def run_scenario(config_path, scenario_name, output_dir=None, cadence=None):
@@ -446,11 +434,7 @@ def run_scenario(config_path, scenario_name, output_dir=None, cadence=None):
     outdir = os.path.join(root, sc.name)
     os.makedirs(outdir, exist_ok=True)
     try:
-        if sc.kind == "flow":
-            return _run_flow_scenario(sc, outdir)
-        if sc.kind == "csf":
-            return _run_csf_scenario(sc, outdir)
-        return _run_weiner_scenario(sc, outdir)
+        return _RUNNERS[sc.kind](sc, outdir)
     finally:
         _release_heap()
 
@@ -505,7 +489,7 @@ def main(argv=None):
     p_exp = sub.add_parser("export", help="convert a raw4 snapshot")
     p_exp.add_argument("snapshot")
     p_exp.add_argument("path")
-    p_exp.add_argument("--format", choices=("raw4", "obj3", "vtk"), required=True)
+    p_exp.add_argument("--format", choices=_MESH_FORMATS, required=True)
 
     args = parser.parse_args(argv)
     try:

@@ -1,10 +1,11 @@
 import gc
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from s3flow import cli, flow
+from s3flow import cli, flow, s2curves
 from s3flow.cli import (
     ConfigError,
     build_curve,
@@ -18,6 +19,7 @@ from s3flow.cli import (
     run_scenario,
     stereographic,
 )
+from s3flow.flow import FlowConfig
 from s3flow.mesh import estimate_curvature, make_clifford_torus, make_geodesic_sphere
 from s3flow.s2curves import make_latitude_circle, save_curve_csv
 
@@ -91,7 +93,7 @@ def test_missing_scenario_reported():
     assert main(["run", BUNDLED, "does-not-exist"]) == 1
 
 
-def test_build_surface_and_curve_specs():
+def test_build_surface_and_curve_specs(tmp_path, capsys):
     m = build_surface("clifford nu=8 nv=8")
     assert m.n_vertices == 64
     c = build_curve("latitude_circle theta=0.9 n=32")
@@ -100,6 +102,84 @@ def test_build_surface_and_curve_specs():
         build_surface("unknown_generator a=1")
     with pytest.raises(ConfigError):
         build_surface("clifford nu=8 nv=8 junk=1")
+    with pytest.raises(ConfigError, match="^surface generator 'geodesic_sphere' needs r=$"):
+        build_surface("geodesic_sphere level=2")
+    with pytest.raises(ConfigError, match="^curve generator 'latitude_circle' needs theta=$"):
+        build_curve("latitude_circle n=64")
+    with pytest.raises(ConfigError, match=r"^unknown curve args \['bogus'\]$"):
+        build_curve("latitude_circle theta=1.0 n=64 bogus=3")
+    p = tmp_path / "cfg.cfg"
+    p.write_text("[s]\nkind = flow\nsurface = geodesic_sphere level=2\n")
+    assert main(["run", str(p), "s", "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: surface generator 'geodesic_sphere' needs r=\n"
+
+
+class Reached(Exception):
+    """Raised by a stand-in for a run, once it has recorded its arguments."""
+
+
+# one value per key that a flow scenario hands to FlowConfig, none the default
+FLOW_VALUES = {
+    "t_end": 0.02, "dt": 1e-3, "sigma": 0.5, "dt_max": 2e-3, "speed_tol": 1e-7,
+    "width_tol": 0.1, "g_floor": 0.01, "cadence": 3, "snapshot_every": 7,
+    "smoothing": 0.2, "fit_order": 4,
+}
+
+
+def test_every_flow_key_reaches_flow_config(tmp_path, monkeypatch):
+    shared = {f.name for f in fields(FlowConfig)} & {f.name for f in fields(cli.Scenario)}
+    assert shared == set(FLOW_VALUES) | {"speed"}
+    seen = []
+
+    def record(mesh, config):
+        seen.append(config)
+        raise Reached
+
+    monkeypatch.setattr(cli, "run_flow", record)
+    sphere = "kind = flow\nsurface = geodesic_sphere r=1.0 level=1\n"
+    all_keys = "".join(f"{key} = {value}\n" for key, value in FLOW_VALUES.items())
+    p = tmp_path / "cfg.cfg"
+    p.write_text(
+        f"[every]\n{sphere}speed = mcf\n{all_keys}exports = raw4\n"
+        f"[defaults]\n{sphere}"
+        f"[no-exports]\n{sphere}snapshot_every = 7\n"
+    )
+    for name in ("every", "defaults", "no-exports"):
+        with pytest.raises(Reached):
+            run_scenario(str(p), name, output_dir=str(tmp_path))
+    every, defaults, no_exports = seen
+    assert every.speed.name == "mcf"
+    assert {key: getattr(every, key) for key in FLOW_VALUES} == FLOW_VALUES
+    assert defaults == FlowConfig(speed=defaults.speed, t_end=0.1)
+    assert defaults.speed.name == "arctan"
+    assert all(getattr(defaults, key) != value for key, value in FLOW_VALUES.items())
+    assert no_exports.snapshot_every == 0  # snapshots are written only with exports
+
+
+def test_every_csf_key_reaches_run_csf(tmp_path, monkeypatch):
+    seen = []
+
+    def record(curve, t_end, **kwargs):
+        seen.append((curve.samples[0], len(curve), t_end, kwargs))
+        raise Reached
+
+    monkeypatch.setattr(s2curves, "run_csf", record)
+    p = tmp_path / "cfg.cfg"
+    p.write_text(
+        "[every]\nkind = csf\ncurve = latitude_circle theta=1.0 n=64\nt_end = 0.02\n"
+        "dt = 1e-4\nsigma = 0.5\nresample = no\ncadence = 3\nlength_tol = 0.1\n"
+        "[defaults]\nkind = csf\ncurve = latitude_circle theta=1.0 n=64\n"
+    )
+    for name in ("every", "defaults"):
+        with pytest.raises(Reached):
+            run_scenario(str(p), name, output_dir=str(tmp_path))
+    (start, n, t_end, kwargs), (_, _, default_t_end, default_kwargs) = seen
+    assert np.arccos(start[2]) == pytest.approx(1.0) and n == 64
+    assert t_end == 0.02
+    assert kwargs == dict(dt=1e-4, sigma=0.5, resample=False, cadence=3, length_tol=0.1)
+    assert default_t_end == 0.1
+    assert default_kwargs == dict(dt=None, sigma=0.25, resample=True, cadence=1,
+                                  length_tol=0.05)
 
 
 # -- exporters --------------------------------------------------------------
@@ -154,6 +234,7 @@ def test_obj3_export_parses(tmp_path):
     assert len(faces) == len(m.triangles)
     arr = np.array(faces)
     assert arr.min() == 1 and arr.max() == m.n_vertices  # 1-based indices
+    assert path.read_text().splitlines()[1] == "# stereographic projection pole: -1 0 0 0"
 
 
 def test_obj3_pole_reselection(tmp_path):
@@ -268,7 +349,7 @@ def test_flow_scenario_exports_and_reproducibility(tmp_path):
     p.write_text(
         "[tiny-flow]\ndescription = small deterministic run\nkind = flow\n"
         "surface = geodesic_sphere r=1.0471975511965976 level=2\nspeed = mcf\n"
-        "t_end = 0.003\ncadence = 1\nsnapshot_every = 5\nexports = raw4, vtk\n"
+        "t_end = 0.003\ncadence = 1\nsnapshot_every = 5\nexports = raw4, vtk, obj3, gauss_csv\n"
         "perturbation = 0.01\nseed = 4\n"
     )
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -281,7 +362,9 @@ def test_flow_scenario_exports_and_reproducibility(tmp_path):
     assert snaps
     back = import_raw4(str(snaps[0]))
     assert back.n_vertices == 162
-    assert (out1 / "tiny-flow" / "snapshot_00000.vtk").exists()
+    first = sorted(f.name for f in (out1 / "tiny-flow").glob("snapshot_00000.*"))
+    assert first == ["snapshot_00000.gauss.csv", "snapshot_00000.obj",
+                     "snapshot_00000.raw4", "snapshot_00000.vtk"]
 
 
 def test_condition_breached_exits_2(tmp_path):

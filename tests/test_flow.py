@@ -160,6 +160,20 @@ def test_single_mcf_step_matches_ode():
     assert abs(dr - expected) / abs(expected) < 5e-2
 
 
+def test_sphere_mcf_run_matches_closed_form(sphere_mcf_run):
+    # a geodesic sphere under MCF keeps cos r = cos r0 * e^(2t); unlike the
+    # RK4 oracle of criterion 03, this does not integrate the program's speed
+    result, _, _ = sphere_mcf_run
+    errors = []
+    for st in result.snapshots:
+        r_mesh = mean_radius(st.mesh)
+        if r_mesh > 0.2:
+            r_exact = np.arccos(np.cos(np.pi / 3) * np.exp(2.0 * st.t))
+            errors.append(abs(r_mesh - r_exact) / r_exact)
+    assert len(errors) >= 20
+    assert np.all(np.array(errors) <= 2e-2)  # criterion 03's tolerance; NaN fails
+
+
 def test_flow_step_keeps_vertices_on_sphere():
     m = make_perturbed_sphere(np.pi / 3, 3, 0.02, seed=1)
     st = FlowState(0.0, m, estimate_curvature(m, order=2), 0)
