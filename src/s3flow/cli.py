@@ -146,6 +146,8 @@ def _parse_spec(spec, what):
         if "=" not in tok:
             raise ConfigError(f"expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
+        if k in out:
+            raise ConfigError(f"{what} spec repeats {k}=")
         out[k] = v
     return tokens[0], out
 

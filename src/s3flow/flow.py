@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CurvatureData, FitWorker, SurfaceMesh, estimate_curvature, fit_worker, padded
-# log_map is not called here; it stays bound because perfbench/layers.py
-# wraps flow.log_map by name
-from .s3core import geodesic_step, log_map, log_scale, normalize  # noqa: F401
+from .mesh import CurvatureData, Stepper, SurfaceMesh, estimate_curvature, step_worker
+# log_map and geodesic_step are not called here; they stay bound because
+# perfbench/layers.py wraps flow.log_map and flow.geodesic_step by name
+from .s3core import geodesic_step, log_map  # noqa: F401
 from .speeds import SpeedFunction, speed_huisken_monitor
 
 
@@ -71,6 +71,8 @@ class FlowConfig:
                 raise ValueError(f"{name} must be positive")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("fixed dt must be positive")
+        if self.cadence < 1:
+            raise ValueError("cadence must be at least 1")
 
 
 @dataclass
@@ -106,6 +108,7 @@ class FlowResult:
     final: FlowState
     reason: StopReason
     detail: str = None  # why a MeshDegenerate or NumericalFailure run stopped
+    worker_peak_rss_mb: float = None  # the step worker's, None without one
 
 
 def omega_epsilon_member(k1, k2, eps):
@@ -184,14 +187,16 @@ def _check_degeneracy(mesh: SurfaceMesh):
 
 
 def flow_step(state: FlowState, speed: SpeedFunction, dt,
-              smoothing=0.0, fit_order=2, worker: FitWorker = None,
+              smoothing=0.0, fit_order=2, worker: Stepper = None,
               speed_values=None) -> FlowState:
     """One explicit step: every vertex moves along the great circle through
     its outward normal by arclength -F dt; normals and curvature are then
     recomputed from the new geometry.
 
-    ``worker`` is passed to :func:`estimate_curvature`.  ``speed_values``
-    is F at the state's curvature, when the caller has evaluated it already.
+    ``worker`` is the :class:`mesh.Stepper` (or step worker) of the run,
+    which also runs the fit; by default the step runs in this process.
+    ``speed_values`` is F at the state's curvature, when the caller has
+    evaluated it already.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -200,12 +205,9 @@ def flow_step(state: FlowState, speed: SpeedFunction, dt,
     if speed_values is None:
         speed_values = speed.eval(curv.kappa1, curv.kappa2)
     f = np.asarray(speed_values, dtype=float)
-    verts = geodesic_step(mesh.vertices, mesh.normals, -f * dt)
-    new_mesh = mesh.with_vertices(verts)
-
-    if smoothing > 0.0:
-        new_mesh = mesh.with_vertices(_tangential_smooth(new_mesh, smoothing))
-
+    if worker is None:
+        worker = Stepper(mesh, fit_order)
+    new_mesh = worker.step(mesh, -f * dt, smoothing)
     _check_degeneracy(new_mesh)
     return FlowState(
         t=state.t + dt,
@@ -213,29 +215,6 @@ def flow_step(state: FlowState, speed: SpeedFunction, dt,
         curvature=estimate_curvature(new_mesh, order=fit_order, worker=worker),
         step_index=state.step_index + 1,
     )
-
-
-def _tangential_smooth(mesh: SurfaceMesh, strength):
-    """Move each vertex toward its one-ring log-mean, within the surface
-    tangent plane only (parametrisation changes, geometry does not)."""
-    topo = mesh.topology
-    x = mesh.vertices
-    nrm = mesh.normals
-    y = padded(x)[topo.one_ring_padded]  # zero rows at padding add nothing
-    # log_x y = (theta / sin theta)(y - <x, y> x); the x parts are projected
-    # out below, so the one-ring sum needs only the weighted sum of the y
-    ratio = log_scale(np.einsum("nkd,nd->nk", y, x))
-    mean = np.einsum("nk,nkd->nd", ratio, y) / topo.one_ring_counts[:, None]
-    tang = mean - np.einsum("nd,nd->n", mean, nrm)[:, None] * nrm
-    tang = tang - np.einsum("nd,nd->n", tang, x)[:, None] * x
-    s = strength * np.sqrt(np.einsum("nd,nd->n", tang, tang))
-    move = s > 1e-14
-    if not np.any(move):
-        return x
-    d = np.where(move[:, None], tang, np.array([1.0, 0.0, 0.0, 0.0]))
-    d = d / np.linalg.norm(d, axis=1, keepdims=True)
-    s = np.where(move, s, 0.0)
-    return normalize(np.cos(s)[:, None] * x + np.sin(s)[:, None] * d)
 
 
 def run_flow(mesh0: SurfaceMesh, config: FlowConfig) -> FlowResult:
@@ -256,17 +235,18 @@ def run_flow(mesh0: SurfaceMesh, config: FlowConfig) -> FlowResult:
     ``FlowResult.detail`` names that quantity, or carries the message of a
     MeshDegenerate stop.
 
-    The curvature fit is shared with a forked worker where
-    :func:`mesh.fit_worker` starts one; it is ended when the run returns
-    or raises.
+    Each step is shared with a forked worker where :func:`mesh.step_worker`
+    starts one; it is ended when the run returns or raises, and
+    ``FlowResult.worker_peak_rss_mb`` keeps its peak RSS.
     """
     mesh0 = mesh0.with_vertices(mesh0.vertices)
-    worker = fit_worker(mesh0.topology, config.fit_order)
+    worker = step_worker(mesh0, config.fit_order) or Stepper(mesh0, config.fit_order)
     try:
-        return _run(mesh0, config, worker)
+        result = _run(mesh0, config, worker)
     finally:
-        if worker is not None:
-            worker.close()
+        worker.close()
+    result.worker_peak_rss_mb = worker.peak_rss_mb
+    return result
 
 
 def _run(mesh0, config, worker):

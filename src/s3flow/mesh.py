@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import mmap
 import os
+import select
 import sys
 import threading
+import time
 import traceback
 from dataclasses import dataclass, field
 
@@ -28,6 +30,7 @@ import numpy as np
 from .s3core import (  # noqa: F401
     cross4,
     geodesic_distance,
+    geodesic_step,
     log_map,
     log_scale,
     normalize,
@@ -152,6 +155,52 @@ class _Topology:
 
 
 # ---------------------------------------------------------------------------
+# per-row kernels
+# ---------------------------------------------------------------------------
+
+# Each kernel computes the rows ``rows`` of its output from the same rows of
+# its inputs, gathering neighbours from whole arrays, so a range of rows has
+# the same bits as in a pass over the whole mesh.  ``ALL`` is that pass.
+ALL = slice(None)
+
+
+def _face_normals(x, tri, rows):
+    """Normals of the triangles ``tri[rows]`` of the vertices ``x``,
+    orthogonal to all three corners up to round-off, not normalised."""
+    t = tri[rows]
+    a, b, c = x[t[:, 0]], x[t[:, 1]], x[t[:, 2]]
+    return cross4(a, b - a, c - a)
+
+
+def _vertex_normals(x, face_normals, vertex_faces, rows):
+    """Unit normals at the vertices ``rows``: the sum of the normals of their
+    triangles (``face_normals`` padded with a zero row), made tangent to S3."""
+    acc = np.einsum("nkd->nd", face_normals[vertex_faces[rows]])
+    x = x[rows]
+    acc = acc - np.einsum("nd,nd->n", acc, x)[:, None] * x
+    return normalize(acc)
+
+
+def _triangle_cosines(x, tri, rows):
+    """Cosines of the Euclidean corner angles of the triangles ``tri[rows]``."""
+    t = tri[rows]
+    a, b, c = x[t[:, 0]], x[t[:, 1]], x[t[:, 2]]
+    ab, bc, ca = b - a, c - b, a - c
+    lab, lbc, lca = (np.sqrt(np.einsum("nd,nd->n", e, e)) for e in (ab, bc, ca))
+    return np.stack([
+        -np.einsum("nd,nd->n", ab, ca) / (lab * lca),
+        -np.einsum("nd,nd->n", bc, ab) / (lbc * lab),
+        -np.einsum("nd,nd->n", ca, bc) / (lca * lbc),
+    ], axis=1)
+
+
+def _edge_lengths(x, edges, rows):
+    """Geodesic lengths of the edges ``edges[rows]``."""
+    e = edges[rows]
+    return geodesic_distance(x[e[:, 0]], x[e[:, 1]])
+
+
+# ---------------------------------------------------------------------------
 # the mesh
 # ---------------------------------------------------------------------------
 
@@ -201,14 +250,8 @@ class SurfaceMesh:
 
     def _geometric_normals(self):
         x = self.vertices
-        tri = self.triangles
-        a, b, c = x[tri[:, 0]], x[tri[:, 1]], x[tri[:, 2]]
-        # the face normal, orthogonal to all three corners up to round-off;
-        # the projection below makes each vertex normal tangent to S3
-        face_normals = padded(cross4(a, b - a, c - a))
-        acc = np.einsum("nkd->nd", face_normals[self.topology.vertex_faces])
-        acc = acc - np.einsum("nd,nd->n", acc, x)[:, None] * x
-        return normalize(acc)
+        face_normals = padded(_face_normals(x, self.triangles, ALL))
+        return _vertex_normals(x, face_normals, self.topology.vertex_faces, ALL)
 
     def with_vertices(self, vertices, normals=None):
         """New mesh with the same topology (caches shared) and new geometry."""
@@ -235,25 +278,13 @@ class SurfaceMesh:
     def edge_lengths(self):
         """Geodesic edge lengths in radians (cached; geometry is immutable)."""
         if self._edge_lengths is None:
-            e = self.topology.edges
-            self._edge_lengths = geodesic_distance(
-                self.vertices[e[:, 0]], self.vertices[e[:, 1]]
-            )
+            self._edge_lengths = _edge_lengths(self.vertices, self.topology.edges, ALL)
         return self._edge_lengths
 
     def triangle_cosines(self):
         """Cosines of the Euclidean corner angles of each triangle in R4 (cached)."""
         if self._triangle_cosines is None:
-            x = self.vertices
-            tri = self.triangles
-            a, b, c = x[tri[:, 0]], x[tri[:, 1]], x[tri[:, 2]]
-            ab, bc, ca = b - a, c - b, a - c
-            lab, lbc, lca = (np.sqrt(np.einsum("nd,nd->n", e, e)) for e in (ab, bc, ca))
-            self._triangle_cosines = np.stack([
-                -np.einsum("nd,nd->n", ab, ca) / (lab * lca),
-                -np.einsum("nd,nd->n", bc, ab) / (lbc * lab),
-                -np.einsum("nd,nd->n", ca, bc) / (lca * lbc),
-            ], axis=1)
+            self._triangle_cosines = _triangle_cosines(self.vertices, self.triangles, ALL)
         return self._triangle_cosines
 
     def triangle_angles(self):
@@ -720,48 +751,279 @@ def _fit_blocks(frame, xz, topology, order, out, blocks):
             dst[rows] = src
 
 
-# Meshes below this size are fitted in one process.  Starting and ending the
-# worker costs about 4 ms per run, and the flows on level-3 spheres
-# (n = 642) showed no gain end to end.
-PARALLEL_MIN_VERTICES = 2048
+def _frames(x, nu, y):
+    """Fit frames, (B, 4, 4) with rows x, e1, e2, nu, at the vertices ``x``
+    with normals ``nu``.  e1 points at ``y``, the first two-ring neighbour of
+    each, projected off x and nu (the theta / sin theta of log_x y would
+    cancel in the normalisation), or where that vanishes, at (1, 0, 0, 0)."""
+    def off_x_and_nu(y):
+        return (y - np.einsum("nd,nd->n", y, x)[:, None] * x
+                - np.einsum("nd,nd->n", y, nu)[:, None] * nu)
+
+    seed = off_x_and_nu(y)
+    sn = np.linalg.norm(seed, axis=1, keepdims=True)
+    bad_seed = sn[:, 0] < 1e-14
+    if np.any(bad_seed):
+        seed = np.where(bad_seed[:, None], off_x_and_nu(np.tile(QUAT_ONE, (len(x), 1))), seed)
+        sn = np.linalg.norm(seed, axis=1, keepdims=True)
+    e1 = seed / sn
+    e2 = normalize(cross4(x, nu, e1))
+    return np.stack([x, e1, e2, nu], axis=1)
 
 
-class FitWorker:
-    """A forked process that takes half of the curvature fit of one topology.
+def _tangential_smooth(mesh, strength, rows):
+    """The vertices ``rows`` of ``mesh`` moved toward their one-ring
+    log-mean, within the surface tangent plane only (parametrisation
+    changes, geometry does not), and whether any of them moved.  Where no
+    vertex of the whole mesh moves, the step keeps the vertices as they are,
+    unnormalised; the caller decides that over all rows."""
+    topo = mesh.topology
+    x = mesh.vertices[rows]
+    nrm = mesh.normals[rows]
+    y = padded(mesh.vertices)[topo.one_ring_padded[rows]]  # zero rows at padding add nothing
+    # log_x y = (theta / sin theta)(y - <x, y> x); the x parts are projected
+    # out below, so the one-ring sum needs only the weighted sum of the y
+    ratio = log_scale(np.einsum("nkd,nd->nk", y, x))
+    mean = np.einsum("nk,nkd->nd", ratio, y) / topo.one_ring_counts[rows, None]
+    tang = mean - np.einsum("nd,nd->n", mean, nrm)[:, None] * nrm
+    tang = tang - np.einsum("nd,nd->n", tang, x)[:, None] * x
+    s = strength * np.sqrt(np.einsum("nd,nd->n", tang, tang))
+    move = s > 1e-14
+    d = np.where(move[:, None], tang, np.array([1.0, 0.0, 0.0, 0.0]))
+    d = d / np.linalg.norm(d, axis=1, keepdims=True)
+    s = np.where(move, s, 0.0)
+    return normalize(np.cos(s)[:, None] * x + np.sin(s)[:, None] * d), bool(np.any(move))
 
-    The blocks of FIT_BLOCK vertices are split into two contiguous ranges,
-    the parent's first, each fitted by :func:`_fit_blocks`.  The inputs
-    (padded vertices, frames) and outputs (Hessian, condition, not-SPD
-    mark) live in anonymous shared mappings made before the fork, so
+
+COND_LIMIT = 1e8  # condition proxy above which a vertex's fit is flagged
+
+
+def _curvature(topology, hessian, cond, notspd, cond_limit=COND_LIMIT):
+    """CurvatureData from the fit at every vertex (see estimate_curvature)."""
+    flagged = (topology.ring_counts < 5) | notspd | ~np.isfinite(cond) | (cond > cond_limit)
+    flagged |= ~np.all(np.isfinite(hessian), axis=1)
+    a, b, c = hessian.T
+
+    s11, s12, s22 = -a, -b, -c
+    mean = 0.5 * (s11 + s22)
+    delta = np.hypot(0.5 * (s11 - s22), s12)
+    kappa1 = mean + delta
+    kappa2 = mean - delta
+
+    if np.any(flagged):
+        # the mean over the unflagged one-ring, NaN with none to inherit
+        # from; np.where keeps a NaN at a flagged neighbour out of the sum
+        idx = np.flatnonzero(flagged)
+        ring = topology.one_ring_padded[idx]
+        ok = np.append(~flagged, False)[ring]
+        count = np.count_nonzero(ok, axis=1)[:, None]
+        kk = padded(np.stack([kappa1, kappa2], axis=1))[ring]
+        total = np.where(ok[:, :, None], kk, 0.0).sum(axis=1)
+        inherited = np.divide(total, count, out=np.full(total.shape, np.nan), where=count > 0)
+        kappa1[idx], kappa2[idx] = inherited.T
+
+    return CurvatureData(kappa1=kappa1, kappa2=kappa2, flagged=flagged)
+
+
+# ---------------------------------------------------------------------------
+# the explicit step, phase by phase
+# ---------------------------------------------------------------------------
+
+# The phases of a step; each is one byte on the worker's command pipe.
+MOVE, MOVED_FACES, SMOOTH, GEOMETRY, NORMALS, FIT = range(6)
+WHOLE = 2  # the part that is every row; parts 0 and 1 are the two halves
+
+
+class Stepper:
+    """One explicit flow step on the topology of ``mesh``, run phase by phase
+    in this process.
+
+    The buffers hold the inputs and outputs of every phase; the vertex
+    buffers carry a zero row at index n for the padded ring gathers.  A
+    phase is a method that takes a part: 0 and 1 are fixed halves of the
+    vertices, the triangles and the edges, WHOLE all of them.  The vertices
+    split on a FIT_BLOCK boundary, ``ranges`` holding the fit blocks of each
+    half, so the fit's blocks are the same whichever process fits them.
+    Each phase is built from the per-row kernels, so what it writes does
+    not depend on how the rows are shared out: :class:`StepWorker` runs the
+    same phases in two processes with bit-identical results.
+    """
+
+    peak_rss_mb = None  # of a forked worker, once it has ended
+
+    def __init__(self, mesh, order, alloc=np.zeros):
+        topo = self.topology = mesh.topology
+        self.mesh = mesh  # makes the moved mesh of each step, for the smoothing
+        self.order = order
+        n, m, ne = topo.n_vertices, len(topo.triangles), len(topo.edges)
+        blocks = -(-n // FIT_BLOCK)
+        self.ranges = [range(0, blocks // 2), range(blocks // 2, blocks)]
+
+        def part(r, i, j):  # vertex, triangle and edge rows, fit blocks
+            return (slice(r.start * FIT_BLOCK, min(r.stop * FIT_BLOCK, n)),
+                    slice(m * i // 2, m * j // 2), slice(ne * i // 2, ne * j // 2), r)
+
+        self.parts = [part(self.ranges[0], 0, 1), part(self.ranges[1], 1, 2),
+                      part(range(blocks), 0, 2)]
+        # inputs: the mesh, the arclength each vertex moves along its normal
+        # and the smoothing strength
+        self.x, self.nu, self.offsets = alloc((n, 4)), alloc((n, 4)), alloc(n)
+        self.strength = alloc(1)
+        self.moved, self.moved_normals = alloc((n + 1, 4)), alloc((n, 4))
+        self.moving = alloc(3, bool)  # whether the smoothing moved a vertex of each part
+        self.new, self.normals = alloc((n + 1, 4)), alloc((n, 4))
+        self.face_normals = alloc((m + 1, 4))
+        self.cosines, self.lengths = alloc((m, 3)), alloc(ne)
+        self.frame = alloc((n, 4, 4))
+        self.out = (alloc((n, 3)), alloc(n), alloc(n, bool))  # hessian, cond, notspd
+
+    def run(self, phase):
+        self._phases[phase](self, WHOLE)
+
+    def close(self):
+        pass
+
+    def _check(self, mesh, order):
+        if mesh.topology is not self.topology or order != self.order:
+            raise ValueError("stepper was made for another topology or fit order")
+
+    def step(self, mesh, offsets, smoothing):
+        """The mesh after one step, with its normals, edge lengths and
+        triangle cosines.
+
+        Each vertex of ``mesh`` moves by arclength ``offsets`` along the
+        great circle through its normal; with ``smoothing`` > 0 it then
+        moves toward its one-ring log-mean by that strength.
+        """
+        self._check(mesh, self.order)
+        n = mesh.n_vertices
+        self.x[...] = mesh.vertices
+        self.nu[...] = mesh.normals
+        self.offsets[...] = offsets
+        self.strength[0] = smoothing
+        self.run(MOVE)
+        if smoothing > 0.0:
+            self.run(MOVED_FACES)
+            self.moving[...] = False
+            self.run(SMOOTH)
+            if not self.moving.any():
+                self.new[:n] = self.moved[:n]
+        self.run(GEOMETRY)
+        self.run(NORMALS)
+        new = mesh.with_vertices(self.new[:n].copy(), normals=self.normals.copy())
+        new._edge_lengths = self.lengths.copy()
+        new._triangle_cosines = self.cosines.copy()
+        return new
+
+    def fit(self, mesh, order):
+        """(hessian, cond, notspd) of the height fit at every vertex of
+        ``mesh``: views of the buffers, which the next step or fit
+        overwrites."""
+        self._check(mesh, order)
+        self.new[:mesh.n_vertices] = mesh.vertices
+        self.normals[...] = mesh.normals
+        self.run(FIT)
+        return self.out
+
+    def _move(self, part):
+        v = self.parts[part][0]
+        out = self.moved if self.strength[0] > 0.0 else self.new
+        out[v] = geodesic_step(self.x[v], self.nu[v], self.offsets[v])
+
+    def _moved_faces(self, part):
+        f = self.parts[part][1]
+        self.face_normals[f] = _face_normals(self.moved, self.topology.triangles, f)
+
+    def _smooth(self, part):
+        v = self.parts[part][0]
+        self.moved_normals[v] = _vertex_normals(self.moved, self.face_normals,
+                                                self.topology.vertex_faces, v)
+        moved = self.mesh.with_vertices(self.moved[:-1], normals=self.moved_normals)
+        self.new[v], self.moving[part] = _tangential_smooth(moved, self.strength[0], v)
+
+    def _geometry(self, part):
+        _, f, e, _ = self.parts[part]
+        tri = self.topology.triangles
+        self.face_normals[f] = _face_normals(self.new, tri, f)
+        self.cosines[f] = _triangle_cosines(self.new, tri, f)
+        self.lengths[e] = _edge_lengths(self.new, self.topology.edges, e)
+
+    def _normals(self, part):
+        v = self.parts[part][0]
+        self.normals[v] = _vertex_normals(self.new, self.face_normals,
+                                          self.topology.vertex_faces, v)
+
+    def _fit(self, part):
+        v, _, _, blocks = self.parts[part]
+        self.frame[v] = _frames(self.new[v], self.normals[v],
+                                self.new[self.topology.two_ring_padded[v, 0]])
+        _fit_blocks(self.frame, self.new, self.topology, self.order, self.out, blocks)
+
+    # in the order of the phase numbers; functions, not bound methods, which
+    # would hold the stepper in a reference cycle
+    _phases = (_move, _moved_faces, _smooth, _geometry, _normals, _fit)
+
+
+# Meshes below this size are stepped in one process.  Starting and ending
+# the worker costs about 5.5 ms per run on a 2-CPU virtual machine; there,
+# the flows of the bundled scenarios on level-3 spheres (n = 642) ran about
+# 10% faster with it.  Smaller meshes were not measured.
+PARALLEL_MIN_VERTICES = 512
+
+# How long the side that waits for the other reads its pipe without blocking
+# before it blocks.  A blocking read lets an idle virtual CPU halt, and the
+# wake-up is paid at each of the twelve handoffs of a smoothed step: on a
+# 2-CPU virtual machine a one-byte round trip took 30-130 us when the
+# other side blocked, 6-15 us when it polled.  2 ms is longer than the
+# parent's work between two steps of a level-4 sphere (about 1.2 ms), so the
+# worker seldom blocks during a run.
+HANDOFF_POLL_S = 2e-3
+
+
+def _receive(fd):
+    """One byte from the non-blocking pipe ``fd``, b"" at its end: polled for
+    HANDOFF_POLL_S, then waited for."""
+    deadline = time.perf_counter() + HANDOFF_POLL_S
+    while True:
+        try:
+            return os.read(fd, 1)
+        except BlockingIOError:
+            if time.perf_counter() > deadline:
+                select.select([fd], [], [])
+
+
+class StepWorker(Stepper):
+    """A :class:`Stepper` whose phases run in two processes: a forked worker
+    takes part 1 of each, the parent part 0.
+
+    The buffers live in anonymous shared mappings made before the fork, so
     nothing is pickled; one byte on a pipe starts the worker's part of a
-    fit, and one byte back reports it done.  The worker is pinned to
-    ``cpu``: where the kernel does not balance load between CPUs, a forked
-    process stays on its parent's CPU and the two share it.
+    phase, and one byte back reports it done (b"d") or failed (b"e").  A
+    phase that fails in either process runs again over all rows in the
+    parent, which raises the error the serial step raises.  When the
+    command pipe ends, the worker writes its peak RSS (``ru_maxrss``, KiB)
+    on the reply pipe and leaves; :meth:`close` keeps it as
+    ``peak_rss_mb``.  The worker is pinned to ``cpu``: where the kernel does
+    not balance load between CPUs, a forked process stays on its parent's
+    CPU and the two share it.
 
     The split is fixed rather than balanced (a process that finishes early
-    taking blocks left over): with a share that changed from fit to fit,
+    taking rows left over): with a share that changed from step to step,
     the parent's heap ended each flow in a different layout, and the peak
     RSS of a run of the bundled scenarios varied by 4 MB from run to run.
 
     ``fork`` rather than ``spawn``: a spawned worker imports ``__main__``
     again, and a script that calls ``run_flow`` at module level would then
     fork without end.  Forking a process that runs other threads may
-    deadlock the child, so :func:`fit_worker` starts none while Python runs
+    deadlock the child, so :func:`step_worker` starts none while Python runs
     a second thread; a BLAS thread pool is still there, and from Python
     3.12 ``os.fork`` warns (DeprecationWarning) about it.  The worker
     leaves through ``os._exit``; :meth:`close` reaps it.
     """
 
-    def __init__(self, topology, order, cpu):
-        n = topology.n_vertices
-        self.topology = topology
-        self.order = order
+    def __init__(self, mesh, order, cpu):
+        super().__init__(mesh, order, alloc=_shared)
         self.cpu = cpu
-        blocks = -(-n // FIT_BLOCK)
-        self.ranges = [range(0, blocks // 2), range(blocks // 2, blocks)]
-        self.xz = _shared((n + 1, 4))
-        self.frame = _shared((n, 4, 4))
-        self.out = (_shared((n, 3)), _shared((n,)), _shared((n,), bool))
         fds = []
         try:
             fds += os.pipe()
@@ -772,51 +1034,58 @@ class FitWorker:
                 os.close(fd)
             raise
         cmd_r, self.command, self.reply, rep_w = fds
-        if self.pid == 0:  # the worker: one fit per byte, until the pipe ends
-            status = 1
-            try:
-                os.close(self.command)
-                os.close(self.reply)
-                try:
-                    os.sched_setaffinity(0, {cpu})
-                except OSError:  # a CPU the mask names but this process may not use
-                    pass
-                while os.read(cmd_r, 1):
-                    self._fit(1)
-                    os.write(rep_w, b"d")
-                status = 0
-            except Exception:
-                traceback.print_exc()
-                sys.stderr.flush()
-            finally:
-                os._exit(status)
+        if self.pid == 0:
+            self._serve(cmd_r, rep_w)
         os.close(cmd_r)
         os.close(rep_w)
+        os.set_blocking(self.reply, False)
 
-    def _fit(self, part):
-        _fit_blocks(self.frame, self.xz, self.topology, self.order, self.out,
-                    self.ranges[part])
-
-    def fit(self, topology, order, frame_rows, xz):
-        """(hessian, cond, notspd) at every vertex, as the serial fit gives.
-
-        ``frame_rows`` are the (n, 4) arrays x, e1, e2, nu; the frames are
-        stacked straight into the shared mapping.  The arrays returned are
-        views of the shared mappings: the next fit overwrites them.  Raises
-        RuntimeError naming the worker if it died.
-        """
-        if topology is not self.topology or order != self.order:
-            raise ValueError("fit worker was started for another topology or fit order")
-        np.stack(frame_rows, axis=1, out=self.frame)
-        self.xz[...] = xz
+    def _serve(self, commands, replies):
+        """The worker: its part of one phase per byte, until the pipe ends."""
+        status = 1
         try:
-            os.write(self.command, b"f")
+            os.close(self.command)
+            os.close(self.reply)
+            try:
+                os.sched_setaffinity(0, {self.cpu})
+            except OSError:  # a CPU the mask names but this process may not use
+                pass
+            os.set_blocking(commands, False)
+            while command := _receive(commands):
+                try:
+                    self._phases[command[0]](self, 1)
+                    reply = b"d"
+                except Exception:  # raised again in the parent, see run
+                    reply = b"e"
+                os.write(replies, reply)
+            import resource  # Unix only, as os.fork is
+
+            os.write(replies, b"%d" % resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            status = 0
+        except Exception:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+    def run(self, phase):
+        """Part 1 of ``phase`` in the worker, part 0 here.  Raises
+        RuntimeError naming the worker if it died."""
+        try:
+            os.write(self.command, bytes((phase,)))
         except BrokenPipeError:
             self._died()
-        self._fit(0)
-        if os.read(self.reply, 1) != b"d":
+        failed = False
+        try:
+            self._phases[phase](self, 0)
+        except Exception:  # raised again below, over all rows
+            failed = True
+        finally:
+            reply = _receive(self.reply)
+        if not reply:
             self._died()
-        return self.out
+        if failed or reply != b"d":
+            self._phases[phase](self, WHOLE)
 
     def _died(self):
         pid, self.pid = self.pid, None
@@ -825,13 +1094,18 @@ class FitWorker:
         raise RuntimeError(f"curvature fit worker {pid} {how}")
 
     def close(self):
-        """End the worker and reap it.  Safe to call more than once."""
+        """End the worker, keep its peak RSS and reap it.  Safe to call more
+        than once."""
         if self.command is None:
             return
         os.close(self.command)
+        os.set_blocking(self.reply, True)
+        left = b"".join(iter(lambda: os.read(self.reply, 64), b""))
         if self.pid is not None:
             os.waitpid(self.pid, 0)
         os.close(self.reply)
+        rss = left.lstrip(b"de")  # after a reply that an interrupted phase left unread
+        self.peak_rss_mb = int(rss) / 1024.0 if rss else None
         self.pid = self.command = self.reply = None
 
 
@@ -851,28 +1125,28 @@ def _current_cpu():
         return None
 
 
-def fit_worker(topology, order):
-    """The fit worker for a flow on ``topology`` at ``order``, pinned to the
-    lowest CPU of this process's affinity mask other than the one this
-    process runs on.  None where the fit stays serial: one CPU, no
-    ``os.fork``, fewer than PARALLEL_MIN_VERTICES vertices, a second Python
-    thread running, or a worker that could not be started (``os.fork`` or
-    a pipe or mapping refused).  The caller closes it."""
+def step_worker(mesh, order):
+    """The step worker for a flow from ``mesh`` with the fit at ``order``,
+    pinned to the lowest CPU of this process's affinity mask other than the
+    one this process runs on.  None where the step stays in one process:
+    one CPU, no ``os.fork``, fewer than PARALLEL_MIN_VERTICES vertices, a
+    second Python thread running, or a worker that could not be started
+    (``os.fork`` or a pipe or mapping refused).  The caller closes it."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
     cpus = os.sched_getaffinity(0)
-    if len(cpus) < 2 or topology.n_vertices < PARALLEL_MIN_VERTICES:
+    if len(cpus) < 2 or mesh.n_vertices < PARALLEL_MIN_VERTICES:
         return None
     if threading.active_count() > 1:
         return None
     try:
-        return FitWorker(topology, order, min(cpus - {_current_cpu()}))
+        return StepWorker(mesh, order, min(cpus - {_current_cpu()}))
     except OSError:
         return None
 
 
-def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4,
-                       worker: FitWorker = None) -> CurvatureData:
+def estimate_curvature(mesh: SurfaceMesh, cond_limit=COND_LIMIT, order=4,
+                       worker: Stepper = None) -> CurvatureData:
     """Estimate the shape operator at every vertex by local quadric fitting.
 
     One- and two-ring neighbours are mapped into T_x S3 by the spherical
@@ -895,60 +1169,10 @@ def estimate_curvature(mesh: SurfaceMesh, cond_limit=1e8, order=4,
     flagged and inherit the average curvature of their unflagged one-ring
     neighbours; with none to inherit from, their curvature is NaN.
 
-    ``worker``, from :func:`fit_worker` for this mesh's topology and
-    ``order``, takes half of the fit; the result is bit-identical to the
-    serial fit.
+    ``worker``, a :class:`Stepper` or :func:`step_worker` for this mesh's
+    topology and ``order``, runs the fit; a worker's result is
+    bit-identical to the serial fit.
     """
-    x = mesh.vertices
-    nu = mesh.normals
-    n = mesh.n_vertices
-    topo = mesh.topology
-    counts = topo.ring_counts
-    nbr = topo.two_ring_padded
-    xz = padded(x)
-
-    # deterministic tangent frame: e1 points at the first two-ring neighbour
-    # projected off x and nu (the theta / sin theta of log_x y would cancel
-    # in the normalisation), or where that vanishes, at (1, 0, 0, 0)
-    def off_x_and_nu(y):
-        return (y - np.einsum("nd,nd->n", y, x)[:, None] * x
-                - np.einsum("nd,nd->n", y, nu)[:, None] * nu)
-
-    seed = off_x_and_nu(xz[nbr[:, 0]])
-    sn = np.linalg.norm(seed, axis=1, keepdims=True)
-    bad_seed = sn[:, 0] < 1e-14
-    if np.any(bad_seed):
-        seed = np.where(bad_seed[:, None], off_x_and_nu(np.tile(QUAT_ONE, (n, 1))), seed)
-        sn = np.linalg.norm(seed, axis=1, keepdims=True)
-    e1 = seed / sn
-    e2 = normalize(cross4(x, nu, e1))
-
     if worker is None:
-        hessian, cond, notspd = out = (np.empty((n, 3)), np.empty(n), np.empty(n, bool))
-        _fit_blocks(np.stack([x, e1, e2, nu], axis=1), xz, topo, order, out,
-                    range(-(-n // FIT_BLOCK)))
-    else:
-        hessian, cond, notspd = worker.fit(topo, order, (x, e1, e2, nu), xz)
-    flagged = (counts < 5) | notspd | ~np.isfinite(cond) | (cond > cond_limit)
-    flagged |= ~np.all(np.isfinite(hessian), axis=1)
-    a, b, c = hessian.T
-
-    s11, s12, s22 = -a, -b, -c
-    mean = 0.5 * (s11 + s22)
-    delta = np.hypot(0.5 * (s11 - s22), s12)
-    kappa1 = mean + delta
-    kappa2 = mean - delta
-
-    if np.any(flagged):
-        # the mean over the unflagged one-ring, NaN with none to inherit
-        # from; np.where keeps a NaN at a flagged neighbour out of the sum
-        idx = np.flatnonzero(flagged)
-        ring = topo.one_ring_padded[idx]
-        ok = np.append(~flagged, False)[ring]
-        count = np.count_nonzero(ok, axis=1)[:, None]
-        kk = padded(np.stack([kappa1, kappa2], axis=1))[ring]
-        total = np.where(ok[:, :, None], kk, 0.0).sum(axis=1)
-        inherited = np.divide(total, count, out=np.full(total.shape, np.nan), where=count > 0)
-        kappa1[idx], kappa2[idx] = inherited.T
-
-    return CurvatureData(kappa1=kappa1, kappa2=kappa2, flagged=flagged)
+        worker = Stepper(mesh, order)
+    return _curvature(mesh.topology, *worker.fit(mesh, order), cond_limit=cond_limit)

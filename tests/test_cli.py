@@ -108,6 +108,8 @@ def test_build_surface_and_curve_specs(tmp_path, capsys):
         build_curve("latitude_circle n=64")
     with pytest.raises(ConfigError, match=r"^unknown curve args \['bogus'\]$"):
         build_curve("latitude_circle theta=1.0 n=64 bogus=3")
+    with pytest.raises(ConfigError, match="^surface spec repeats nu=$"):
+        build_surface("clifford nu=8 nv=8 nu=16")
     p = tmp_path / "cfg.cfg"
     p.write_text("[s]\nkind = flow\nsurface = geodesic_sphere level=2\n")
     assert main(["run", str(p), "s", "--output-dir", str(tmp_path)]) == 1

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from s3flow import flow
+from s3flow import mesh as mesh_module
+from s3flow.cli import main
 from s3flow.flow import (
     FlowConfig,
     FlowState,
@@ -23,12 +25,13 @@ from s3flow.flow import (
 from s3flow.mesh import (
     SurfaceMesh,
     estimate_curvature,
-    fit_worker,
     make_clifford_torus,
     make_geodesic_sphere,
     make_perturbed_sphere,
     mesh_quality,
+    step_worker,
 )
+from s3flow.s3core import normalize
 from s3flow.speeds import arctan_speed, custom_fH, mcf
 
 CENTER = np.array([1.0, 0.0, 0.0, 0.0])
@@ -122,13 +125,19 @@ def test_cfl_dt_linear_in_sigma():
     )
 
 
-def test_flow_config_validation():
+def test_flow_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         FlowConfig(speed=mcf(), t_end=1.0, sigma=0.0)
     with pytest.raises(ValueError):
         FlowConfig(speed=mcf(), t_end=1.0, speed_tol=0.0)
     with pytest.raises(ValueError):
         FlowConfig(speed=mcf(), t_end=1.0, dt=-1e-3)
+    with pytest.raises(ValueError, match="^cadence must be at least 1$"):
+        FlowConfig(speed=mcf(), t_end=1.0, cadence=0)
+    p = tmp_path / "cfg.cfg"
+    p.write_text("[s]\nkind = flow\nsurface = geodesic_sphere r=1.0 level=1\ncadence = 0\n")
+    assert main(["run", str(p), "s", "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: cadence must be at least 1\n"
 
 
 # -- stepping -------------------------------------------------------------
@@ -280,7 +289,7 @@ def test_nan_speed_stops_as_numerical_failure():
 
 def test_nonfinite_vertices_stop_the_run_at_that_step(monkeypatch):
     steps = []
-    step = flow.geodesic_step
+    step = mesh_module.geodesic_step
 
     def nan_on_third_step(x, d, s):
         steps.append(s)
@@ -289,7 +298,7 @@ def test_nonfinite_vertices_stop_the_run_at_that_step(monkeypatch):
             out[7] = np.nan
         return out
 
-    monkeypatch.setattr(flow, "geodesic_step", nan_on_third_step)
+    monkeypatch.setattr(mesh_module, "geodesic_step", nan_on_third_step)
     with np.errstate(invalid="ignore"):
         result = run_flow(make_geodesic_sphere(1.0, 2), FlowConfig(speed=mcf(), t_end=1.0))
     assert result.reason is StopReason.NUMERICAL_FAILURE
@@ -338,22 +347,22 @@ def test_degeneracy_check_at_one_degree():
     _check_degeneracy(_sliver(1.1))
 
 
-# -- the fit worker of a run ----------------------------------------------
+# -- the step worker of a run ---------------------------------------------
 
 
 @pytest.fixture
 def started(monkeypatch):
-    """An affinity mask of two CPUs, so that each run_flow starts a fit
+    """An affinity mask of two CPUs, so that each run_flow starts a step
     worker on any machine; returns the worker pid of each run."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     pids = []
 
-    def recording(topology, order):
-        worker = fit_worker(topology, order)
+    def recording(mesh, order):
+        worker = step_worker(mesh, order)
         pids.append(worker.pid)
         return worker
 
-    monkeypatch.setattr(flow, "fit_worker", recording)
+    monkeypatch.setattr(flow, "step_worker", recording)
     return pids
 
 
@@ -407,10 +416,10 @@ def test_fit_stays_serial_on_one_cpu_or_a_small_mesh(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert fit_worker(make_geodesic_sphere(np.pi / 3, 3).topology, 2) is None
+    assert step_worker(make_geodesic_sphere(np.pi / 3, 2), 2) is None
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     m = make_geodesic_sphere(np.pi / 3, 4)
-    assert fit_worker(m.topology, 2) is None
+    assert step_worker(m, 2) is None
     cfg = FlowConfig(speed=mcf(), t_end=1e-3, sigma=0.7, smoothing=0.3, fit_order=2)
     assert run_flow(m, cfg).reason is StopReason.TIME_EXHAUSTED
 
@@ -441,6 +450,125 @@ def test_refused_fork_falls_back_to_the_serial_fit(monkeypatch):
     assert result.reason is serial.reason is StopReason.TIME_EXHAUSTED
     assert result.final.step_index == serial.final.step_index > 1
     assert np.array_equal(result.final.mesh.vertices, serial.final.mesh.vertices)
+
+
+def _pushed(m, picked, by=1e-2):
+    """``m`` with the vertices ``picked`` moved by ``by`` along their first
+    one-ring edge, and normals recomputed."""
+    verts = m.vertices.copy()
+    for i in picked:
+        verts[i] += by * (verts[m.topology.one_ring_padded[i, 0]] - verts[i])
+    return m.with_vertices(normalize(verts))
+
+
+STEP_CASES = {
+    "sphere-l4-order4-smoothed": (lambda: make_geodesic_sphere(np.pi / 3, 4), mcf(), 4, 0.3),
+    "clifford-64-order2": (lambda: make_clifford_torus(64, 64), arctan_speed(), 2, 0.0),
+    # smoothing moves no vertex of the parent's half, only the pushed ones
+    # of the worker's and their neighbours
+    "clifford-64-smoothed-in-one-half": (
+        lambda: _pushed(make_clifford_torus(64, 64), [3000, 3500]), arctan_speed(), 2, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_split_step_bit_identical_to_serial(case, monkeypatch):
+    build, speed, order, smoothing = STEP_CASES[case]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    m = build()
+    state = FlowState(0.0, m, estimate_curvature(m, order=order), 0)
+    worker = step_worker(m, order)
+    try:
+        assert worker.pid > 0
+        split = [state]
+        for _ in range(2):  # the second step reuses every buffer of the first
+            split.append(flow_step(split[-1], speed, 1e-3, smoothing, order, worker=worker))
+    finally:
+        worker.close()
+    serial = state
+    for got in split[1:]:
+        serial = flow_step(serial, speed, 1e-3, smoothing, order)
+        # the serial step's normals, caches and fit are those of its vertices
+        fresh = m.with_vertices(serial.mesh.vertices)
+        want = estimate_curvature(fresh, order=order)
+        for st in (got, serial):
+            assert np.array_equal(st.mesh.normals, fresh.normals)
+            assert np.array_equal(st.mesh.edge_lengths(), fresh.edge_lengths())
+            assert np.array_equal(st.mesh.triangle_cosines(), fresh.triangle_cosines())
+            for name in ("kappa1", "kappa2", "flagged"):
+                assert np.array_equal(getattr(st.curvature, name), getattr(want, name)), name
+        assert np.array_equal(got.mesh.vertices, serial.mesh.vertices)
+
+
+def test_error_in_the_worker_half_raised_as_in_the_serial_step(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    m = make_geodesic_sphere(np.pi / 3, 4)
+    state = FlowState(0.0, m, estimate_curvature(m, order=2), 0)
+    normals = m.normals.copy()
+    normals[2000] *= 1.1  # a vertex of the worker's half
+    bad = FlowState(0.0, m.with_vertices(m.vertices, normals=normals), state.curvature, 0)
+    with pytest.raises(ValueError) as serial:
+        flow_step(bad, mcf(), 1e-3, 0.3, 2)
+    assert str(serial.value).startswith("geodesic_step requires unit directions")
+    worker = step_worker(m, 2)
+    try:
+        assert worker.parts[1][0].start <= 2000
+        with pytest.raises(ValueError) as split:
+            flow_step(bad, mcf(), 1e-3, 0.3, 2, worker=worker)
+        # the worker goes on with the next step
+        after = flow_step(state, mcf(), 1e-3, 0.3, 2, worker=worker)
+    finally:
+        worker.close()
+    assert str(split.value) == str(serial.value)
+    assert np.array_equal(after.mesh.vertices, flow_step(state, mcf(), 1e-3, 0.3, 2).mesh.vertices)
+
+
+def test_sliver_in_the_worker_half_stops_the_step(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    m = make_geodesic_sphere(np.pi / 3, 4)
+    topo = m.topology
+    half = len(topo.triangles) // 2
+    # a vertex whose triangles all lie in the worker's half, pushed almost
+    # onto a neighbour: the triangles on that edge get a corner below 1 deg
+    v = next(i for i in range(m.n_vertices)
+             if topo.vertex_faces[i, :6].min() >= half)
+    sliver = _pushed(m, [v], by=0.995)
+    state = FlowState(0.0, sliver, estimate_curvature(sliver, order=2), 0)
+    still = np.zeros(m.n_vertices)
+    with pytest.raises(MeshDegenerateError) as serial:
+        flow_step(state, mcf(), 1e-3, 0.0, 2, speed_values=still)
+    worker = step_worker(sliver, 2)
+    try:
+        with pytest.raises(MeshDegenerateError) as split:
+            flow_step(state, mcf(), 1e-3, 0.0, 2, worker=worker, speed_values=still)
+    finally:
+        worker.close()
+    assert str(split.value) == str(serial.value)
+    assert str(serial.value).startswith("minimum triangle angle")
+
+
+def test_run_flow_same_on_one_and_two_cpus(monkeypatch):
+    cfg = FlowConfig(speed=mcf(), t_end=1.0, sigma=0.7, smoothing=0.3, fit_order=4,
+                     max_steps=5, snapshot_every=2)
+    m = make_geodesic_sphere(np.pi / 3, 4)
+    results = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        results.append(run_flow(m, cfg))
+    two, one = results
+    assert two.worker_peak_rss_mb > 1.0
+    assert one.worker_peak_rss_mb is None
+    assert two.reason is one.reason is StopReason.TIME_EXHAUSTED
+    assert two.detail == one.detail
+    assert np.array_equal(two.times, one.times)
+    assert two.reports == one.reports
+    assert len(two.snapshots) == len(one.snapshots) == 3
+    for a, b in zip(two.snapshots + [two.final], one.snapshots + [one.final]):
+        assert (a.t, a.step_index) == (b.t, b.step_index)
+        assert np.array_equal(a.mesh.vertices, b.mesh.vertices)
+        assert np.array_equal(a.mesh.normals, b.mesh.normals)
+        for name in ("kappa1", "kappa2", "flagged"):
+            assert np.array_equal(getattr(a.curvature, name), getattr(b.curvature, name))
 
 
 # -- the radius oracle -----------------------------------------------------

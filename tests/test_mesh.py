@@ -12,12 +12,12 @@ from s3flow.mesh import (
     SurfaceMesh,
     _icosphere,
     estimate_curvature,
-    fit_worker,
     make_clifford_torus,
     make_geodesic_sphere,
     make_hopf_torus,
     make_perturbed_sphere,
     mesh_quality,
+    step_worker,
     validate_topology,
 )
 from s3flow.s2curves import make_great_circle, make_latitude_circle
@@ -413,7 +413,7 @@ def test_flagged_vertices_take_the_mean_of_their_unflagged_one_ring():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """An affinity mask of two CPUs, so that fit_worker starts a worker on
+    """An affinity mask of two CPUs, so that step_worker starts a worker on
     any machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
@@ -427,7 +427,7 @@ def test_parallel_fit_bit_identical_to_serial(build, order, two_cpus):
     # then the mesh pushed off along its normals
     m = build()
     meshes = (m, m.with_vertices(normalize(m.vertices + 0.01 * m.normals)))
-    worker = fit_worker(m.topology, order)
+    worker = step_worker(m, order)
     try:
         assert worker.pid > 0
         got = [estimate_curvature(mesh, order=order, worker=worker) for mesh in meshes]
@@ -449,7 +449,7 @@ def test_not_spd_vertices_flagged_alone_by_every_process(two_cpus):
     normals = np.tile([1.0, 0.0, 0.0, 0.0], (m.n_vertices, 1))
     t = np.array([0.0, 1.0, 2.0, 3.0])
     for order in (2, 4):
-        worker = fit_worker(m.topology, order)
+        worker = step_worker(m, order)
         try:
             assert worker.ranges == [range(0, 10), range(10, 21)]
             picked = [100, 10 * FIT_BLOCK + 20]
@@ -470,7 +470,7 @@ def test_workers_pinned_off_the_cpu_the_parent_was_on(two_cpus, monkeypatch):
     # the CPU it is on is read once
     monkeypatch.setattr(mesh_module, "_current_cpu", itertools.cycle([0, 1]).__next__)
     m = make_geodesic_sphere(np.pi / 3, 4)
-    worker = fit_worker(m.topology, 2)
+    worker = step_worker(m, 2)
     try:
         assert worker.cpu == 1
         got = estimate_curvature(m, order=2, worker=worker)
@@ -492,7 +492,7 @@ def test_worker_count_capped(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(mesh_module, "_current_cpu", lambda: 0)
-    worker = fit_worker(make_geodesic_sphere(np.pi / 3, 4).topology, 2)
+    worker = step_worker(make_geodesic_sphere(np.pi / 3, 4), 2)
     try:
         assert len(forks) == 1
         assert worker.cpu == 1
@@ -506,7 +506,7 @@ def test_fit_stays_serial_while_another_thread_runs(two_cpus):
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert fit_worker(make_geodesic_sphere(np.pi / 3, 4).topology, 2) is None
+        assert step_worker(make_geodesic_sphere(np.pi / 3, 4), 2) is None
     finally:
         release.set()
         other.join(timeout=10)

@@ -50,7 +50,7 @@ SPEEDS, CURVES = "src/s3flow/speeds.py", "src/s3flow/s2curves.py"
 T_CLI, T_FLOW, T_MESH = "tests/test_cli.py", "tests/test_flow.py", "tests/test_mesh.py"
 
 MUTANTS = [
-    # the flagged-vertex fallback, the fit worker and NumericalFailure
+    # the flagged-vertex fallback, the step worker and NumericalFailure
     Mutant("fallback summed as kk * ok", MESH,
            "total = np.where(ok[:, :, None], kk, 0.0).sum(axis=1)",
            "total = (kk * ok[:, :, None]).sum(axis=1)",
@@ -93,6 +93,35 @@ MUTANTS = [
     Mutant("no speed check in parse_config", CLI,
            "                make_speed(sc.speed)\n", "                str(sc.speed)\n",
            (f"{T_CLI}::test_custom_speed_outside_the_grammar_rejected_at_load",)),
+    # the step split between the parent and the worker
+    Mutant("phase 5 normals of the moved vertices", MESH,
+           "self.normals[v] = _vertex_normals(self.new,",
+           "self.normals[v] = _vertex_normals(self.moved,",
+           (f"{T_FLOW}::test_split_step_bit_identical_to_serial",)),
+    Mutant("smoothing's no-move return decided per half", MESH,
+           "    move = s > 1e-14\n",
+           "    move = s > 1e-14\n    if not np.any(move):\n        return x, False\n",
+           (f"{T_FLOW}::test_split_step_bit_identical_to_serial",)),
+    Mutant("degeneracy check on the parent's triangles only", MESH,
+           "new._triangle_cosines = self.cosines.copy()",
+           "new._triangle_cosines = self.cosines[:len(self.cosines) // 2].copy()",
+           (f"{T_FLOW}::test_sliver_in_the_worker_half_stops_the_step",)),
+    Mutant("edges split off the middle", MESH,
+           "slice(ne * i // 2, ne * j // 2)", "slice(ne * i // 2, ne * j // 2 - i)",
+           (f"{T_FLOW}::test_split_step_bit_identical_to_serial",)),
+    Mutant("a failure in the worker's half ignored", MESH,
+           'if failed or reply != b"d":', "if failed:",
+           (f"{T_FLOW}::test_error_in_the_worker_half_raised_as_in_the_serial_step",)),
+    Mutant("worker's peak RSS dropped", MESH,
+           "self.peak_rss_mb = int(rss) / 1024.0 if rss else None",
+           "self.peak_rss_mb = None",
+           (f"{T_FLOW}::test_run_flow_same_on_one_and_two_cpus",)),
+    Mutant("cadence 0 accepted", FLOW,
+           "        if self.cadence < 1:\n", "        if self.cadence < 0:\n",
+           (f"{T_FLOW}::test_flow_config_validation",)),
+    Mutant("repeated spec arg kept", CLI,
+           "        if k in out:\n", "        if False:\n",
+           (f"{T_CLI}::test_build_surface_and_curve_specs",)),
     # the MCF speed off by 10%, which the RK4 oracle integrates along with the flow
     Mutant("MCF speed 10% fast", SPEEDS,
            '"mcf", np.add,', '"mcf", lambda k1, k2: 1.1 * (k1 + k2),',
