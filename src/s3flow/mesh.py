@@ -670,10 +670,19 @@ def _cholesky_screened(M):
     return L, notspd
 
 
-# Vertices fitted together.  Small blocks keep the fit's arrays small: with
-# the whole level-4 sphere in one block, each fit took some 3,700 fresh
-# pages from the operating system, a quarter of its time.
-FIT_BLOCK = 128
+# Bytes of the design matrix of one block of the fit's vertices: 128 rows of
+# 15 columns at order 4 on two-rings padded to 18.  Small blocks keep the
+# fit's arrays small: with the whole level-4 sphere in one block, each fit
+# took some 3,700 fresh pages from the operating system, a quarter of its
+# time.  A budget in bytes rather than rows gives the order-2 fit, with 6
+# columns, blocks of 320 rows, so each numpy call carries as many bytes.
+FIT_BLOCK_BYTES = 128 * 15 * 18 * 8
+
+
+def fit_block_rows(order, k):
+    """Vertices fitted together at ``order`` with two-rings padded to ``k``."""
+    columns = 6 + (N_HIGH_COLUMNS if order >= 4 else 0)  # the design and the heights
+    return max(1, FIT_BLOCK_BYTES // (8 * columns * k))
 
 
 def _fit_block(frame, y, counts, order):
@@ -735,20 +744,19 @@ def _fit_block(frame, y, counts, order):
     return c / scale[:, None], cond, notspd
 
 
-def _fit_blocks(frame, xz, topology, order, out, blocks):
-    """Fit ``blocks``, indices of blocks of FIT_BLOCK vertices, into ``out``
-    = (hessian, cond, notspd).
+def _fit_blocks(frame, xz, topology, order, out, rows, block):
+    """Fit the vertices ``rows`` (a slice) in blocks of ``block`` from its
+    start into ``out`` = (hessian, cond, notspd).
 
-    Every block is fitted by :func:`_fit_block` on the same rows, whichever
-    process fits it, so the results do not depend on how the blocks are
-    shared out.
+    :func:`_fit_block` treats each vertex on its own, so the results do not
+    depend on where the blocks start or how long they are.
     """
-    for b in blocks:
-        rows = slice(b * FIT_BLOCK, (b + 1) * FIT_BLOCK)
-        fitted = _fit_block(frame[rows], xz[topology.two_ring_padded[rows]],
-                            topology.ring_counts[rows], order)
+    for start in range(rows.start, rows.stop, block):
+        b = slice(start, min(start + block, rows.stop))
+        fitted = _fit_block(frame[b], xz[topology.two_ring_padded[b]],
+                            topology.ring_counts[b], order)
         for dst, src in zip(out, fitted):
-            dst[rows] = src
+            dst[b] = src
 
 
 def _frames(x, nu, y):
@@ -841,12 +849,10 @@ class Stepper:
     The buffers hold the inputs and outputs of every phase; the vertex
     buffers carry a zero row at index n for the padded ring gathers.  A
     phase is a method that takes a part: 0 and 1 are fixed halves of the
-    vertices, the triangles and the edges, WHOLE all of them.  The vertices
-    split on a FIT_BLOCK boundary, ``ranges`` holding the fit blocks of each
-    half, so the fit's blocks are the same whichever process fits them.
-    Each phase is built from the per-row kernels, so what it writes does
-    not depend on how the rows are shared out: :class:`StepWorker` runs the
-    same phases in two processes with bit-identical results.
+    vertices, the triangles and the edges, WHOLE all of them.  Each phase is
+    built from the per-row kernels, so what it writes does not depend on how
+    the rows are shared out: :class:`StepWorker` runs the same phases in two
+    processes with bit-identical results.
     """
 
     peak_rss_mb = None  # of a forked worker, once it has ended
@@ -856,15 +862,10 @@ class Stepper:
         self.mesh = mesh  # makes the moved mesh of each step, for the smoothing
         self.order = order
         n, m, ne = topo.n_vertices, len(topo.triangles), len(topo.edges)
-        blocks = -(-n // FIT_BLOCK)
-        self.ranges = [range(0, blocks // 2), range(blocks // 2, blocks)]
-
-        def part(r, i, j):  # vertex, triangle and edge rows, fit blocks
-            return (slice(r.start * FIT_BLOCK, min(r.stop * FIT_BLOCK, n)),
-                    slice(m * i // 2, m * j // 2), slice(ne * i // 2, ne * j // 2), r)
-
-        self.parts = [part(self.ranges[0], 0, 1), part(self.ranges[1], 1, 2),
-                      part(range(blocks), 0, 2)]
+        self.block = fit_block_rows(order, topo.two_ring_padded.shape[1])
+        # vertex, triangle and edge rows of each part
+        self.parts = [(slice(n * i // 2, n * j // 2), slice(m * i // 2, m * j // 2),
+                       slice(ne * i // 2, ne * j // 2)) for i, j in ((0, 1), (1, 2), (0, 2))]
         # inputs: the mesh, the arclength each vertex moves along its normal
         # and the smoothing strength
         self.x, self.nu, self.offsets = alloc((n, 4)), alloc((n, 4)), alloc(n)
@@ -942,7 +943,7 @@ class Stepper:
         self.new[v], self.moving[part] = _tangential_smooth(moved, self.strength[0], v)
 
     def _geometry(self, part):
-        _, f, e, _ = self.parts[part]
+        _, f, e = self.parts[part]
         tri = self.topology.triangles
         self.face_normals[f] = _face_normals(self.new, tri, f)
         self.cosines[f] = _triangle_cosines(self.new, tri, f)
@@ -954,10 +955,10 @@ class Stepper:
                                           self.topology.vertex_faces, v)
 
     def _fit(self, part):
-        v, _, _, blocks = self.parts[part]
+        v = self.parts[part][0]
         self.frame[v] = _frames(self.new[v], self.normals[v],
                                 self.new[self.topology.two_ring_padded[v, 0]])
-        _fit_blocks(self.frame, self.new, self.topology, self.order, self.out, blocks)
+        _fit_blocks(self.frame, self.new, self.topology, self.order, self.out, v, self.block)
 
     # in the order of the phase numbers; functions, not bound methods, which
     # would hold the stepper in a reference cycle

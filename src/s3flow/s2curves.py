@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .s3core import geodesic_distance, log_map, normalize
+from .s3core import normalize
 
 
 class S2Curve:
@@ -32,10 +32,13 @@ class S2Curve:
             raise ValueError("samples must be an (n, 3) array")
         if len(s) < 8:
             raise ValueError(f"need at least 8 samples, got {len(s)}")
-        dev = np.max(np.abs(np.linalg.norm(s, axis=1) - 1.0))
+        dev = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", s, s)) - 1.0))
         if dev > 1e-10:
             raise ValueError(f"sample off S2 by {dev:.3e}")
-        gaps = geodesic_distance(s, np.roll(s, -1, axis=0))
+        # the geodesic gap 2 arcsin(|chord| / 2), well conditioned at every angle
+        chord = np.diff(s, axis=0, append=s[:1])
+        half = 0.5 * np.sqrt(np.einsum("ij,ij->i", chord, chord))
+        gaps = 2.0 * np.arcsin(np.minimum(half, 1.0, out=half), out=half)
         if gaps.min() < 1e-8:
             raise ValueError(f"degenerate segment of length {gaps.min():.3e}")
         if gaps.max() > 0.5:
@@ -50,14 +53,23 @@ class S2Curve:
         return float(np.sum(self.gaps))
 
 
+WRITE_CHUNK = 1024  # rows formatted into one string per write
+
+
 def write_rows(fh, fmt, rows):
     """Write ``fmt % tuple(row)`` and a newline for each row of ``rows`` (a
     1-D array is one column), the text ``np.savetxt`` writes; savetxt
     defines a class per call and leaves a reference cycle holding the file
-    until the garbage collector runs."""
+    until the garbage collector runs.  The rows are formatted as Python
+    numbers, which print as numpy's do, a chunk of rows per write: one
+    write per row costs a call each, one string for the whole file the
+    memory of its text."""
     rows = np.asarray(rows)
-    for row in rows[:, None] if rows.ndim == 1 else rows:
-        fh.write(fmt % tuple(row) + "\n")
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    line = fmt + "\n"
+    for start in range(0, len(rows), WRITE_CHUNK):
+        fh.write("".join([line % tuple(r) for r in rows[start:start + WRITE_CHUNK].tolist()]))
 
 
 def save_curve_csv(curve: S2Curve, path):
@@ -97,24 +109,42 @@ def make_great_circle(axis=(0.0, 0.0, 1.0), n=128):
     return S2Curve(np.outer(np.cos(phi), e1) + np.outer(np.sin(phi), e2))
 
 
+def _cross(a, b):
+    """Row-wise a x b of (n, 3) arrays: the products np.cross takes, without
+    its handling of axes."""
+    return a[:, _NEXT] * b[:, _AFTER] - a[:, _AFTER] * b[:, _NEXT]
+
+
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _turning(p):
     """Turning angles at the samples p of a closed polyline on S2.
 
     Returns (psi, ds, t_in, t_out): the signed turning angle at each sample,
     the mean of the two adjacent segment lengths, and the unit tangents of
     the incoming and outgoing segments.
+
+    The log map of each neighbour y of x is theta (y - <x, y> x) / |...|,
+    with theta = atan2(|y - <x, y> x|, <x, y>) its length, so the lengths
+    and the unit tangents of both neighbours come from one pass over the
+    two stacked.
     """
-    log_n = log_map(p, np.roll(p, -1, axis=0))
-    log_p = log_map(p, np.roll(p, 1, axis=0))
-    l_n = np.linalg.norm(log_n, axis=1)
-    l_p = np.linalg.norm(log_p, axis=1)
-    if l_n.min() < 1e-12 or l_p.min() < 1e-12:
+    y = np.empty((2,) + p.shape)
+    y[0, :-1], y[0, -1] = p[1:], p[0]  # the next sample
+    y[1, 1:], y[1, 0] = p[:-1], p[-1]  # the previous sample
+    c = np.einsum("kij,ij->ki", y, p)
+    d = y - c[:, :, None] * p
+    dn = np.sqrt(np.einsum("kij,kij->ki", d, d))
+    theta = np.arctan2(dn, c)
+    if theta.min() < 1e-12:
         raise ValueError("degenerate segment in curve")
-    t_out = log_n / l_n[:, None]
-    t_in = -log_p / l_p[:, None]
-    cross = np.cross(t_in, t_out)
-    psi = np.arctan2(np.einsum("ij,ij->i", p, cross), np.einsum("ij,ij->i", t_in, t_out))
-    return psi, 0.5 * (l_n + l_p), t_in, t_out
+    d /= dn[:, :, None]
+    t_out = d[0]
+    t_in = np.negative(d[1], out=d[1])
+    psi = np.arctan2(np.einsum("ij,ij->i", p, _cross(t_in, t_out)),
+                     np.einsum("ij,ij->i", t_in, t_out))
+    return psi, 0.5 * (theta[0] + theta[1]), t_in, t_out
 
 
 def geodesic_curvature(curve: S2Curve):
@@ -143,12 +173,20 @@ def resample_uniform(curve: S2Curve, n=None) -> S2Curve:
     idx = np.clip(idx, 0, len(p) - 1)
     frac = (targets - cum[idx]) / np.maximum(seg[idx], 1e-300)
     a = p[idx]
-    b = p[(idx + 1) % len(p)]
-    omega = np.arccos(np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0))[:, None]
-    small = omega[:, 0] < 1e-9
-    w1 = np.where(small[:, None], 1.0 - frac[:, None], np.sin((1.0 - frac[:, None]) * omega) / np.where(small[:, None], 1.0, np.sin(omega)))
-    w2 = np.where(small[:, None], frac[:, None], np.sin(frac[:, None] * omega) / np.where(small[:, None], 1.0, np.sin(omega)))
-    return S2Curve(normalize(w1 * a + w2 * b))
+    b = np.take(p, idx + 1, axis=0, mode="wrap")
+    omega = np.arccos(np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0))
+    # the weights sin((1 - frac) omega) and sin(frac omega) of the spherical
+    # lerp, without their common divisor sin(omega): the sum is normalised
+    w1 = np.sin((1.0 - frac) * omega)
+    w2 = np.sin(frac * omega)
+    small = omega < 1e-9
+    if small.any():  # arccos of the rounded cosine reads gaps below 1.05e-8 as 0
+        w1[small] = 1.0 - frac[small]
+        w2[small] = frac[small]
+    out = w1[:, None] * a
+    out += w2[:, None] * b
+    out /= np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
+    return S2Curve(out)
 
 
 def csf_step(curve: S2Curve, dt, resample=True) -> S2Curve:
@@ -160,13 +198,17 @@ def csf_step(curve: S2Curve, dt, resample=True) -> S2Curve:
     psi, ds, t_in, t_out = _turning(p)
     # the unit normal along the bisector of the two tangents, so that
     # kappa_g times it is the discrete curvature vector
-    t_mid = t_in + t_out
-    small = np.linalg.norm(t_mid, axis=1) < 1e-12
-    t_mid[small] = t_out[small]
-    n_hat = np.cross(p, normalize(t_mid))
-    kappa = psi / ds
-    s = (kappa * dt)[:, None]
-    moved = normalize(np.cos(s) * p + np.sin(s) * n_hat)
+    t_mid = np.add(t_in, t_out, out=t_in)
+    norm = np.sqrt(np.einsum("ij,ij->i", t_mid, t_mid))
+    small = norm < 1e-12
+    if small.any():
+        t_mid[small] = t_out[small]
+        norm[small] = 1.0  # t_out is a unit vector
+    t_mid /= norm[:, None]
+    s = psi / ds * dt
+    moved = np.cos(s)[:, None] * p
+    moved += np.sin(s)[:, None] * _cross(p, t_mid)
+    moved /= np.sqrt(np.einsum("ij,ij->i", moved, moved))[:, None]
     out = S2Curve(moved)
     return resample_uniform(out) if resample else out
 

@@ -468,6 +468,9 @@ STEP_CASES = {
     # of the worker's and their neighbours
     "clifford-64-smoothed-in-one-half": (
         lambda: _pushed(make_clifford_torus(64, 64), [3000, 3500]), arctan_speed(), 2, 0.3),
+    # halves of 321 rows, each ending inside a 320-row fit block
+    "perturbed-l3-order2-smoothed": (
+        lambda: make_perturbed_sphere(np.pi / 3, 3, 0.02, seed=1), arctan_speed(), 2, 0.3),
 }
 
 

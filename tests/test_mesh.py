@@ -7,11 +7,13 @@ import pytest
 
 from s3flow import mesh as mesh_module
 from s3flow.mesh import (
-    FIT_BLOCK,
     MeshError,
+    Stepper,
     SurfaceMesh,
+    _fit_blocks,
     _icosphere,
     estimate_curvature,
+    fit_block_rows,
     make_clifford_torus,
     make_geodesic_sphere,
     make_hopf_torus,
@@ -347,6 +349,26 @@ def test_fit_matches_per_vertex_lstsq(build, order):
     np.testing.assert_allclose(c.kappa2, ref[:, 1], rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_fit_blocks_independent_of_block_layout(order):
+    # each vertex is fitted on its own, so neither where the blocks start nor
+    # how many rows they hold changes a bit of the fit
+    m = make_perturbed_sphere(np.pi / 3, 3, 0.02, seed=5)
+    n = m.n_vertices
+    stepper = Stepper(m, order)
+    want = stepper.fit(m, order)
+    default = fit_block_rows(order, m.topology.two_ring_padded.shape[1])
+    assert default == {2: 320, 4: 128}[order]
+    for rows in (slice(0, n), slice(64, n), slice(321, 600)):
+        for block in (1, 37, default, n):
+            out = (np.zeros((n, 3)), np.zeros(n), np.zeros(n, bool))
+            _fit_blocks(stepper.frame, stepper.new, m.topology, order, out, rows, block)
+            for got, full in zip(out, want):
+                assert np.array_equal(got[rows], full[rows]), (rows, block)
+                # rows outside the range are left as they were
+                assert not np.any(np.delete(got, np.r_[rows], axis=0))
+
+
 def test_not_spd_vertex_flagged_alone():
     # A great sphere lying exactly in the hyperplane x0 = 0, with a normal
     # at one vertex that lies in that hyperplane: the vertex's frame vector
@@ -451,8 +473,9 @@ def test_not_spd_vertices_flagged_alone_by_every_process(two_cpus):
     for order in (2, 4):
         worker = step_worker(m, order)
         try:
-            assert worker.ranges == [range(0, 10), range(10, 21)]
-            picked = [100, 10 * FIT_BLOCK + 20]
+            halves = [part[0] for part in worker.parts[:2]]
+            assert halves == [slice(0, 1281), slice(1281, 2562)]
+            picked = [100, halves[1].start + 20]
             bent = normals.copy()
             for i in picked:
                 bent[i] = t - (t @ verts[i]) * verts[i]
@@ -496,7 +519,7 @@ def test_worker_count_capped(monkeypatch):
     try:
         assert len(forks) == 1
         assert worker.cpu == 1
-        assert worker.ranges == [range(0, 10), range(10, 21)]
+        assert [part[0] for part in worker.parts[:2]] == [slice(0, 1281), slice(1281, 2562)]
     finally:
         worker.close()
 

@@ -1,8 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 
 from s3flow.s2curves import (
     S2Curve,
+    _turning,
     csf_step,
     geodesic_curvature,
     hausdorff_distance,
@@ -12,7 +15,9 @@ from s3flow.s2curves import (
     run_csf,
     sup_subinterval_cyclic,
     weiner_check,
+    write_rows,
 )
+from s3flow.s3core import geodesic_distance, log_map, normalize
 
 
 def cap_area(theta):
@@ -158,6 +163,120 @@ def test_resample_preserves_geometry():
     )
     seg = np.linalg.norm(np.roll(r.samples, -1, axis=0) - r.samples, axis=1)
     assert seg.std() / seg.mean() < 1e-3
+
+
+def test_resample_across_a_gap_arccos_reads_as_zero():
+    # a gap of 1.02e-8 passes the 1e-8 check, but the cosine of its end
+    # points rounds to 1, so arccos gives omega = 0: the first target lies
+    # on it, and only the small-omega weights keep the sample finite
+    phi = np.concatenate([[0.0, 1.02e-8], 2.0 * np.pi * np.arange(1, 32) / 32])
+    c = S2Curve(np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1))
+    r = resample_uniform(c)
+    assert np.all(np.isfinite(r.samples))
+    assert np.array_equal(r.samples[0], [1.0, 0.0, 0.0])
+    assert np.max(np.abs(r.samples[:, 2])) == 0.0
+
+
+# -- the curve step against the log_map formulation it replaced ------------
+
+
+def _turning_reference(p):
+    """_turning from two log maps and np.cross."""
+    log_n = log_map(p, np.roll(p, -1, axis=0))
+    log_p = log_map(p, np.roll(p, 1, axis=0))
+    l_n = np.linalg.norm(log_n, axis=1)
+    l_p = np.linalg.norm(log_p, axis=1)
+    t_out = log_n / l_n[:, None]
+    t_in = -log_p / l_p[:, None]
+    cross = np.cross(t_in, t_out)
+    psi = np.arctan2(np.einsum("ij,ij->i", p, cross), np.einsum("ij,ij->i", t_in, t_out))
+    return psi, 0.5 * (l_n + l_p), t_in, t_out
+
+
+def _resample_reference(p):
+    """resample_uniform to as many samples, with weights divided by sin(omega)."""
+    n = len(p)
+    seg = geodesic_distance(p, np.roll(p, -1, axis=0))
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = cum[-1] * np.arange(n) / n
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, n - 1)
+    frac = ((targets - cum[idx]) / np.maximum(seg[idx], 1e-300))[:, None]
+    a, b = p[idx], p[(idx + 1) % n]
+    omega = np.arccos(np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0))[:, None]
+    small = omega < 1e-9
+    sin = np.where(small, 1.0, np.sin(omega))
+    w1 = np.where(small, 1.0 - frac, np.sin((1.0 - frac) * omega) / sin)
+    w2 = np.where(small, frac, np.sin(frac * omega) / sin)
+    return normalize(w1 * a + w2 * b)
+
+
+def _csf_step_reference(p, dt, resample):
+    psi, ds, t_in, t_out = _turning_reference(p)
+    t_mid = t_in + t_out
+    small = np.linalg.norm(t_mid, axis=1) < 1e-12
+    t_mid[small] = t_out[small]
+    n_hat = np.cross(p, normalize(t_mid))
+    s = (psi / ds * dt)[:, None]
+    moved = normalize(np.cos(s) * p + np.sin(s) * n_hat)
+    return _resample_reference(moved) if resample else moved
+
+
+def _wobbly_curve():
+    rng = np.random.default_rng(11)
+    phi = 2.0 * np.pi * np.arange(200) / 200
+    theta = 1.0 + 0.2 * np.sin(3.0 * phi) + 0.01 * rng.standard_normal(200)
+    return S2Curve(np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                             np.cos(theta)], axis=-1))
+
+
+REFERENCE_CURVES = {
+    "latitude": lambda: make_latitude_circle(np.pi / 3, 256),
+    "great": lambda: make_great_circle(axis=(1.0, 2.0, 3.0), n=128),
+    "wobbly": _wobbly_curve,
+}
+
+
+def assert_close(got, want):
+    # the absolute part, a few rounding units of the unit-size terms, holds
+    # where the value vanishes: vector components, psi on a great circle
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", REFERENCE_CURVES)
+def test_turning_matches_log_map_reference(name):
+    p = REFERENCE_CURVES[name]().samples
+    for got, want in zip(_turning(p), _turning_reference(p)):
+        assert_close(got, want)
+
+
+@pytest.mark.parametrize("resample", [True, False], ids=["resampled", "not-resampled"])
+@pytest.mark.parametrize("name", REFERENCE_CURVES)
+def test_csf_step_matches_reference(name, resample):
+    c = REFERENCE_CURVES[name]()
+    dt = 0.25 * float(c.gaps.min()) ** 2
+    assert_close(csf_step(c, dt, resample=resample).samples,
+                 _csf_step_reference(c.samples, dt, resample))
+
+
+# -- the row writer --------------------------------------------------------
+
+
+def _with_special_values(rows):
+    rows.flat[:5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    return rows
+
+
+@pytest.mark.parametrize("fmt, rows", [
+    ("%.17g", _with_special_values(np.random.default_rng(1).standard_normal(300))),
+    ("v,%.17g,%.9g,%.17g",
+     _with_special_values(np.random.default_rng(2).standard_normal((2500, 3)) * [1e-7, 1.0, 1e9])),
+    ("t,%d,%d,%d", np.arange(-3750, 3750).reshape(2500, 3)),
+], ids=["1d-float", "2d-float-2500", "int"])
+def test_write_rows_matches_row_by_row_format(fmt, rows):
+    fh = io.StringIO()
+    write_rows(fh, fmt, rows)
+    each = rows[:, None] if rows.ndim == 1 else rows
+    assert fh.getvalue() == "".join(fmt % tuple(r) + "\n" for r in each)
 
 
 # -- Weiner conditions -----------------------------------------------------

@@ -48,6 +48,7 @@ class Mutant:
 CLI, FLOW, MESH = "src/s3flow/cli.py", "src/s3flow/flow.py", "src/s3flow/mesh.py"
 SPEEDS, CURVES = "src/s3flow/speeds.py", "src/s3flow/s2curves.py"
 T_CLI, T_FLOW, T_MESH = "tests/test_cli.py", "tests/test_flow.py", "tests/test_mesh.py"
+T_CURVES = "tests/test_s2curves.py"
 
 MUTANTS = [
     # the flagged-vertex fallback, the step worker and NumericalFailure
@@ -58,9 +59,13 @@ MUTANTS = [
     Mutant("no-neighbour fallback 0, not NaN", MESH,
            "out=np.full(total.shape, np.nan)", "out=np.zeros(total.shape)",
            (f"{T_FLOW}::test_vertices_with_no_unflagged_neighbour_stop_the_run",)),
-    Mutant("worker range shifted by one block", MESH,
-           "range(blocks // 2, blocks)]", "range(blocks // 2 + 1, blocks + 1)]",
-           (f"{T_MESH}::test_parallel_fit_bit_identical_to_serial",)),
+    Mutant("worker's vertex half skipping its first row", MESH,
+           "(slice(n * i // 2, n * j // 2)", "(slice(n * i // 2 + i, n * j // 2)",
+           (f"{T_MESH}::test_parallel_fit_bit_identical_to_serial",
+            f"{T_FLOW}::test_split_step_bit_identical_to_serial")),
+    Mutant("fit block overrunning its row range", MESH,
+           "slice(start, min(start + block, rows.stop))", "slice(start, start + block)",
+           (f"{T_MESH}::test_fit_blocks_independent_of_block_layout",)),
     Mutant("worker pinned to the lowest CPU", MESH,
            "min(cpus - {_current_cpu()})", "min(cpus)",
            (f"{T_MESH}::test_workers_pinned_off_the_cpu_the_parent_was_on",)),
@@ -80,10 +85,24 @@ MUTANTS = [
            "StopReason.MESH_DEGENERATE, str(exc)", "StopReason.MESH_DEGENERATE, None",
            (f"{T_CLI}::test_mesh_degenerate_exits_3",)),
     Mutant("write_rows through np.savetxt", CURVES,
-           "    for row in rows[:, None] if rows.ndim == 1 else rows:\n"
-           "        fh.write(fmt % tuple(row) + \"\\n\")\n",
+           "    for start in range(0, len(rows), WRITE_CHUNK):\n"
+           "        fh.write(\"\".join([line % tuple(r) for r in "
+           "rows[start:start + WRITE_CHUNK].tolist()]))\n",
            "    np.savetxt(fh, rows, fmt=fmt)\n",
            (f"{T_CLI}::test_writers_leave_no_reference_cycles",)),
+    Mutant("chunked writer dropping a chunk's last row", CURVES,
+           "rows[start:start + WRITE_CHUNK]", "rows[start:start + WRITE_CHUNK - 1]",
+           (f"{T_CURVES}::test_write_rows_matches_row_by_row_format",)),
+    # the curve-shortening step
+    Mutant("t_in without its minus sign", CURVES,
+           "t_in = np.negative(d[1], out=d[1])", "t_in = d[1]",
+           (f"{T_CURVES}::test_turning_matches_log_map_reference",)),
+    Mutant("resample's small-omega branch removed", CURVES,
+           "    if small.any():  # arccos of the rounded cosine reads gaps below 1.05e-8 as 0\n"
+           "        w1[small] = 1.0 - frac[small]\n"
+           "        w2[small] = frac[small]\n",
+           "",
+           (f"{T_CURVES}::test_resample_across_a_gap_arccos_reads_as_zero",)),
     Mutant("attribute access allowed in custom_fH", SPEEDS,
            "        raise ValueError(f\"custom_fH: {ast.unparse(node)!r} is not allowed\")",
            "        if isinstance(node, ast.Attribute):\n"
