@@ -33,15 +33,15 @@ class S2Curve:
         if len(s) < 8:
             raise ValueError(f"need at least 8 samples, got {len(s)}")
         dev = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", s, s)) - 1.0))
-        if dev > 1e-10:
+        if not dev <= 1e-10:  # written so that NaN fails, as below
             raise ValueError(f"sample off S2 by {dev:.3e}")
         # the geodesic gap 2 arcsin(|chord| / 2), well conditioned at every angle
         chord = np.diff(s, axis=0, append=s[:1])
         half = 0.5 * np.sqrt(np.einsum("ij,ij->i", chord, chord))
         gaps = 2.0 * np.arcsin(np.minimum(half, 1.0, out=half), out=half)
-        if gaps.min() < 1e-8:
+        if not gaps.min() >= 1e-8:
             raise ValueError(f"degenerate segment of length {gaps.min():.3e}")
-        if gaps.max() > 0.5:
+        if not gaps.max() <= 0.5:
             raise ValueError(f"segment too long ({gaps.max():.3f} rad > 0.5)")
         self.samples = s
         self.gaps = gaps
@@ -172,7 +172,7 @@ def resample_uniform(curve: S2Curve, n=None) -> S2Curve:
     idx = np.searchsorted(cum, targets, side="right") - 1
     idx = np.clip(idx, 0, len(p) - 1)
     frac = (targets - cum[idx]) / np.maximum(seg[idx], 1e-300)
-    a = p[idx]
+    a = np.take(p, idx, axis=0)
     b = np.take(p, idx + 1, axis=0, mode="wrap")
     omega = np.arccos(np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0))
     # the weights sin((1 - frac) omega) and sin(frac omega) of the spherical

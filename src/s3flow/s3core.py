@@ -47,19 +47,39 @@ def quat_conj(q):
     return out
 
 
-def normalize(v, axis=-1):
-    """Explicitly rescale to unit Euclidean norm along ``axis``."""
+def row_norms(v, keepdims=False):
+    """Euclidean norms along the last axis of ``v``.
+
+    On two or more axes with rows of 2 to 4 entries, the squared columns
+    are summed in order, which is how ``np.linalg.norm(v, axis=-1)`` sums
+    them there: the same bits, some 4x faster on an (n, 4) array.  Other
+    arrays go to ``np.linalg.norm``, since numpy sums 8 or more entries
+    pairwise and a 1-D vector in yet another order.
+    """
+    if v.ndim < 2 or not 2 <= v.shape[-1] <= 4:
+        return np.linalg.norm(v, axis=-1, keepdims=keepdims)
+    sq = v * v
+    total = sq[..., 0] + sq[..., 1]
+    for k in range(2, v.shape[-1]):
+        total += sq[..., k]
+    np.sqrt(total, out=total)
+    return total[..., None] if keepdims else total
+
+
+def normalize(v):
+    """Explicitly rescale to unit Euclidean norm along the last axis."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=axis, keepdims=True)
+    n = row_norms(v, keepdims=True)
     if np.any(n == 0.0):
         raise ValueError("cannot normalize a zero vector")
     return v / n
 
 
-def unit_deviation(v, axis=-1):
-    """Largest deviation of the norms from 1 (used by invariant checks)."""
+def unit_deviation(v):
+    """Largest deviation of the norms of the last axis from 1 (used by
+    invariant checks)."""
     v = np.asarray(v, dtype=float)
-    return float(np.max(np.abs(np.linalg.norm(v, axis=axis) - 1.0)))
+    return float(np.max(np.abs(row_norms(v) - 1.0)))
 
 
 def tangent_project(x, w):
@@ -88,7 +108,7 @@ def geodesic_step(x, d, s):
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
-    dn = np.linalg.norm(d, axis=-1)
+    dn = row_norms(d)
     if np.any(np.abs(dn - 1.0) > 1e-8):
         raise ValueError(
             "geodesic_step requires unit directions; worst |d| deviation "
@@ -103,7 +123,7 @@ def geodesic_distance(a, b):
     """Geodesic distance on the unit sphere (any dimension, well-conditioned)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    chord = np.linalg.norm(a - b, axis=-1)
+    chord = row_norms(a - b)
     return 2.0 * np.arcsin(np.clip(0.5 * chord, -1.0, 1.0))
 
 
@@ -119,7 +139,7 @@ def log_map(x, y):
     y = np.asarray(y, dtype=float)
     c = np.sum(x * y, axis=-1, keepdims=True)
     d = y - c * x
-    dn = np.linalg.norm(d, axis=-1, keepdims=True)
+    dn = row_norms(d, keepdims=True)
     theta = np.arctan2(dn, c)
     small = dn < 1e-300
     safe = np.where(small, 1.0, dn)

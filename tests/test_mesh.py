@@ -23,7 +23,7 @@ from s3flow.mesh import (
     validate_topology,
 )
 from s3flow.s2curves import make_great_circle, make_latitude_circle
-from s3flow.s3core import log_map, normalize
+from s3flow.s3core import geodesic_distance, log_map, normalize
 
 
 def cot(r):
@@ -296,6 +296,51 @@ def test_topology_tables_match_loop_build(build):
 def test_area_of_great_sphere():
     m = make_geodesic_sphere(np.pi / 2, 4)
     np.testing.assert_allclose(m.area(), 4 * np.pi, rtol=2e-3)
+
+
+def _vertex_lhuilier_area(m):
+    """Sum of l'Huilier triangle areas with the sides measured from the
+    vertices: a, b, c opposite corners 0, 1, 2."""
+    tri, x = m.triangles, m.vertices
+    a = geodesic_distance(x[tri[:, 1]], x[tri[:, 2]])
+    b = geodesic_distance(x[tri[:, 0]], x[tri[:, 2]])
+    c = geodesic_distance(x[tri[:, 0]], x[tri[:, 1]])
+    s = 0.5 * (a + b + c)
+    t = np.tan(0.5 * s) * np.tan(0.5 * (s - a)) * np.tan(0.5 * (s - b)) * np.tan(0.5 * (s - c))
+    return float(np.sum(4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))))
+
+
+def _stepped_sphere():
+    """A perturbed level-3 sphere after one smoothed step, whose edge
+    lengths are the ones the step cached."""
+    m = make_perturbed_sphere(np.pi / 3, 3, 0.05, seed=2)
+    offsets = 1e-3 * np.sin(np.arange(m.n_vertices))
+    return Stepper(m, 2).step(m, offsets, 0.3)
+
+
+AREA_MESHES = {
+    "sphere-l3": lambda: make_geodesic_sphere(1.0, 3),
+    "perturbed-l3": lambda: make_perturbed_sphere(np.pi / 3, 3, 0.05, seed=0),
+    "hopf-96x64": lambda: make_hopf_torus(make_latitude_circle(1.0, 96), 64),
+    "clifford-32": lambda: make_clifford_torus(32, 32),
+    "perturbed-l3-stepped": _stepped_sphere,
+}
+
+
+@pytest.mark.parametrize("name", AREA_MESHES)
+def test_area_from_edge_lengths_matches_vertex_sum(name):
+    m = AREA_MESHES[name]()
+    assert m.area() == _vertex_lhuilier_area(m)
+
+
+@pytest.mark.parametrize("name", ["sphere-l3", "hopf-96x64"])
+def test_triangle_edges_are_the_sides_opposite_each_corner(name):
+    topo = AREA_MESHES[name]().topology
+    tri = topo.triangles
+    ends = topo.edges[topo.triangle_edges]  # (m, 3, 2)
+    for k in range(3):
+        other = np.sort(tri[:, [(k + 1) % 3, (k + 2) % 3]], axis=1)
+        np.testing.assert_array_equal(ends[:, k], other)
 
 
 def test_flagged_vertices_inherit_neighbors():

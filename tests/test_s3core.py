@@ -14,6 +14,7 @@ from s3flow.s3core import (
     log_scale,
     normalize,
     quat_mul,
+    row_norms,
     tangent_project,
     unit_deviation,
 )
@@ -166,3 +167,17 @@ def test_geodesic_distance_matches_arccos():
         np.arccos(np.clip(np.sum(a * b, axis=1), -1, 1)),
         atol=1e-9,
     )
+
+
+@pytest.mark.parametrize("shape", [(1000, 4), (1000, 3), (64, 18, 4)])
+def test_row_norms_bit_identical_to_linalg_norm(shape):
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal(shape)
+    rows = v.reshape(-1, shape[-1])
+    rows[:10] = 0.0
+    rows[10:20] *= 1e-150
+    rows[20:30] *= 1e150
+    rows[30:40] *= np.exp(rng.uniform(-30.0, 30.0, (10, 1)))
+    want = np.linalg.norm(v, axis=-1)
+    assert np.array_equal(row_norms(v), want)
+    assert np.array_equal(row_norms(v, keepdims=True), want[..., None])

@@ -47,8 +47,9 @@ class Mutant:
 
 CLI, FLOW, MESH = "src/s3flow/cli.py", "src/s3flow/flow.py", "src/s3flow/mesh.py"
 SPEEDS, CURVES = "src/s3flow/speeds.py", "src/s3flow/s2curves.py"
+CORE = "src/s3flow/s3core.py"
 T_CLI, T_FLOW, T_MESH = "tests/test_cli.py", "tests/test_flow.py", "tests/test_mesh.py"
-T_CURVES = "tests/test_s2curves.py"
+T_CURVES, T_CORE = "tests/test_s2curves.py", "tests/test_s3core.py"
 
 MUTANTS = [
     # the flagged-vertex fallback, the step worker and NumericalFailure
@@ -93,6 +94,9 @@ MUTANTS = [
     Mutant("chunked writer dropping a chunk's last row", CURVES,
            "rows[start:start + WRITE_CHUNK]", "rows[start:start + WRITE_CHUNK - 1]",
            (f"{T_CURVES}::test_write_rows_matches_row_by_row_format",)),
+    Mutant("a NaN sample read as on S2", CURVES,
+           "        if not dev <= 1e-10:", "        if dev > 1e-10:",
+           (f"{T_CURVES}::test_curve_with_a_nan_sample_rejected",)),
     # the curve-shortening step
     Mutant("t_in without its minus sign", CURVES,
            "t_in = np.negative(d[1], out=d[1])", "t_in = d[1]",
@@ -170,6 +174,18 @@ MUTANTS = [
            "- set(optional))\n    if unknown:\n",
            "- set(optional))\n    if unknown and what == \"surface\":\n",
            (f"{T_CLI}::test_build_surface_and_curve_specs",)),
+    # norms of short rows and the area from the cached edge lengths
+    Mutant("row_norms summing from column 3", CORE,
+           "    for k in range(2, v.shape[-1]):", "    for k in range(3, v.shape[-1]):",
+           (f"{T_CORE}::test_row_norms_bit_identical_to_linalg_norm",)),
+    Mutant("triangle_edges from corners rotated the wrong way", MESH,
+           "p, q = self.triangles[:, [1, 2, 0]], self.triangles[:, [2, 0, 1]]",
+           "p, q = self.triangles[:, [2, 0, 1]], self.triangles[:, [0, 1, 2]]",
+           (f"{T_MESH}::test_triangle_edges_are_the_sides_opposite_each_corner",
+            f"{T_MESH}::test_area_from_edge_lengths_matches_vertex_sum")),
+    Mutant("area's sides taken in the wrong order of corners", MESH,
+           "a, b, c = np.take(self.edge_lengths()", "b, c, a = np.take(self.edge_lengths()",
+           (f"{T_MESH}::test_area_from_edge_lengths_matches_vertex_sum",)),
 ]
 
 
