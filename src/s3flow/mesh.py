@@ -157,8 +157,8 @@ class _Topology:
     def triangle_edges(self):
         """(m, 3) rows of ``edges``: the side of each triangle opposite each
         corner.  Built on first use, not with the other tables: only
-        :meth:`SurfaceMesh.area` reads it, and built here it made the set-up
-        of a flow on a level-4 sphere 10% slower."""
+        :meth:`SurfaceMesh.area` reads it, and the set-up of a flow, which
+        builds the topology, should not pay for it."""
         n = np.int64(self.n_vertices)
         keys = self.edges[:, 0] * n + self.edges[:, 1]  # ascending
         p, q = self.triangles[:, [1, 2, 0]], self.triangles[:, [2, 0, 1]]  # the other corners

@@ -62,9 +62,6 @@ def test_curve_validation():
     # 8 samples around a full great circle exceed the segment cap
     with pytest.raises(ValueError, match="too long"):
         make_great_circle(n=8)
-
-
-def test_curve_with_a_nan_sample_rejected():
     pts = make_latitude_circle(1.0, 16).samples.copy()
     pts[5] = np.nan
     with pytest.raises(ValueError, match="off S2"):

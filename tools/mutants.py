@@ -96,7 +96,7 @@ MUTANTS = [
            (f"{T_CURVES}::test_write_rows_matches_row_by_row_format",)),
     Mutant("a NaN sample read as on S2", CURVES,
            "        if not dev <= 1e-10:", "        if dev > 1e-10:",
-           (f"{T_CURVES}::test_curve_with_a_nan_sample_rejected",)),
+           (f"{T_CURVES}::test_curve_validation",)),
     # the curve-shortening step
     Mutant("t_in without its minus sign", CURVES,
            "t_in = np.negative(d[1], out=d[1])", "t_in = d[1]",
