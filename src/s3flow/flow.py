@@ -162,15 +162,18 @@ def pinching_report(curvature: CurvatureData, mesh: SurfaceMesh,
     )
 
 
+LAMBDA_FLOOR = 1e-8  # lower bound on lambda_max in cfl_dt, for speeds flat in curvature
+
+
 def cfl_dt(mesh: SurfaceMesh, curvature: CurvatureData, speed: SpeedFunction,
-           sigma, dt_max=1e-2, floor=1e-8):
+           sigma, dt_max=1e-2):
     """Parabolic step bound sigma * h_min^2 / lambda_max, capped at dt_max."""
     if not (0.0 < sigma <= 1.0):
         raise ValueError("sigma must lie in (0, 1]")
     h_min = float(np.min(mesh.edge_lengths()))
     d1, d2 = speed.partials(curvature.kappa1, curvature.kappa2)
     lam = float(np.max(np.abs(d1) + np.abs(d2)))
-    return min(sigma * h_min * h_min / max(lam, floor), dt_max)
+    return min(sigma * h_min * h_min / max(lam, LAMBDA_FLOOR), dt_max)
 
 
 COS_MIN_ANGLE = float(np.cos(np.radians(1.0)))  # cosine of the smallest allowed corner

@@ -24,6 +24,8 @@ from .mesh import SurfaceMesh
 from .s2curves import S2Curve
 from .s3core import normalize, quat_conj, quat_mul
 
+REAL_TOL = 1e-6  # largest real part of a Gauss map product
+
 
 @dataclass
 class GaussImage:
@@ -31,10 +33,10 @@ class GaussImage:
     right: np.ndarray  # (n, 3) unit vectors
 
 
-def gauss_maps(mesh: SurfaceMesh, real_tol=1e-6) -> GaussImage:
+def gauss_maps(mesh: SurfaceMesh) -> GaussImage:
     """Both translation Gauss maps of every vertex.
 
-    Fails if any product has real part above ``real_tol``, which signals a
+    Fails if any product has real part above ``REAL_TOL``, which signals a
     normal that is not orthogonal to its vertex.
     """
     x = mesh.vertices
@@ -43,9 +45,9 @@ def gauss_maps(mesh: SurfaceMesh, real_tol=1e-6) -> GaussImage:
     left = quat_mul(xbar, nu)
     right = quat_mul(nu, xbar)
     worst = max(float(np.max(np.abs(left[:, 0]))), float(np.max(np.abs(right[:, 0]))))
-    if worst > real_tol:
+    if worst > REAL_TOL:
         raise ValueError(
-            f"Gauss map real part {worst:.3e} exceeds {real_tol:.1e}: corrupted normals"
+            f"Gauss map real part {worst:.3e} exceeds {REAL_TOL:.1e}: corrupted normals"
         )
     return GaussImage(left=normalize(left[:, 1:]), right=normalize(right[:, 1:]))
 
@@ -69,16 +71,16 @@ def degeneracy_measure(points) -> float:
     return float(np.clip(lam[0] / max(lam[1], 1e-15), 0.0, 1.0))
 
 
-def fiber_average_curve(points, grid_shape, fiber_axis=1) -> S2Curve:
+def fiber_average_curve(points, grid_shape) -> S2Curve:
     """Collapse a fiber-invariant Gauss image of a grid torus to its curve.
 
-    ``points`` is the (rows * cols, 3) image in row-major grid order;
-    averaging over the fiber axis removes the discretization scatter of an
-    image that is constant along fibers, and renormalizes to S2.
+    ``points`` is the (rows * cols, 3) image in row-major grid order, a
+    fiber to each row; averaging over the fibers removes the discretization
+    scatter of an image that is constant along fibers, and renormalizes.
     """
     nu, nv = grid_shape
     p = np.asarray(points, dtype=float).reshape(nu, nv, 3)
-    mean = p.mean(axis=fiber_axis)
+    mean = p.mean(axis=1)
     norms = np.linalg.norm(mean, axis=1)
     if norms.min() < 0.5:
         raise ValueError(

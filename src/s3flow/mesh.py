@@ -60,7 +60,9 @@ def validate_topology(triangles, n_vertices):
     No triangle may repeat a vertex, and every undirected edge must be
     shared by exactly two triangles with opposite orientations.  Raises
     :class:`MeshError` with a diagnostic naming an offending triangle or
-    the smallest offending edge.
+    the smallest offending edge.  Returns the keys a * n_vertices + b of the
+    directed edges (a, b) of the triangles, ascending, and the triangle of
+    each.
     """
     tris = np.asarray(triangles, dtype=np.int64)
     if tris.ndim != 2 or tris.shape[1] != 3:
@@ -71,43 +73,32 @@ def validate_topology(triangles, n_vertices):
     repeats = np.flatnonzero((a == b) | (b == c) | (c == a))
     if repeats.size:
         raise MeshError(f"triangle {repeats[0]} {tris[repeats[0]].tolist()} repeats a vertex")
-    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    keys = np.sort(directed[:, 0] * np.int64(n_vertices) + directed[:, 1])
+    n = np.int64(n_vertices)
+    # the directed edge i is a side of triangle i mod m
+    keys = np.concatenate([a * n + b, b * n + c, c * n + a])
+    order = np.argsort(keys)
+    keys = keys[order]
     repeated = keys[1:][keys[1:] == keys[:-1]]
     if repeated.size:
         k = repeated[0]
         raise MeshError(
-            f"inconsistent winding: directed edge ({k // n_vertices}, {k % n_vertices}) "
+            f"inconsistent winding: directed edge ({k // n}, {k % n}) "
             "appears in more than one triangle"
         )
-    rev = np.sort(directed[:, 1] * np.int64(n_vertices) + directed[:, 0])
-    missing = keys[rev[np.minimum(np.searchsorted(rev, keys), len(rev) - 1)] != keys]
+    rev = keys % n * n + keys // n
+    missing = keys[keys[np.minimum(np.searchsorted(keys, rev), len(keys) - 1)] != rev]
     if missing.size:
         k = missing[0]
         raise MeshError(
-            f"boundary edge ({k // n_vertices}, {k % n_vertices}): "
+            f"boundary edge ({k // n}, {k % n}): "
             "every edge must be shared by exactly 2 triangles"
         )
+    return keys, order % len(tris)
 
 
 def padded(x):
     """``x`` with a zero row appended, for indexing with padded index arrays."""
     return np.concatenate([x, np.zeros((1,) + x.shape[1:])])
-
-
-def group(keys, values, n, pad):
-    """Table whose row k lists, ascending, the values paired with key k.
-
-    ``keys`` lie in 0..n-1 and ``values`` in 0..pad-1; rows are padded with
-    ``pad`` to the longest.  Returns (table, counts), counts[k] being the
-    length of row k.
-    """
-    keys, values = np.divmod(np.sort(keys * np.int64(pad) + values), pad)
-    counts = np.bincount(keys, minlength=n)
-    rank = np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys]
-    table = np.full((n, int(counts.max(initial=0))), pad, dtype=np.int64)
-    table[keys, rank] = values
-    return table, counts
 
 
 class _Topology:
@@ -119,39 +110,41 @@ class _Topology:
     row that :func:`padded` appends: a zero neighbour has zero tangent
     coordinates, so it adds nothing to the fit or to the smoothing.
     ``one_ring_counts`` and ``ring_counts`` give the row lengths.
-    ``vertex_faces`` lists the triangles around each vertex, padded with the
-    index m of a zero row.  ``edges`` lists each undirected edge (a, b) once,
-    with a < b, in lexicographic order.
+    ``vertex_faces`` lists the triangles around each vertex, ascending and
+    padded with the index m of a zero row.  ``edges`` lists each undirected
+    edge (a, b) once, with a < b, in lexicographic order.
     """
 
     def __init__(self, triangles, n_vertices):
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.n_vertices = n = int(n_vertices)
-        validate_topology(self.triangles, n)
-        tri = self.triangles
-        a, b = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]).T
-        # on a closed orientable mesh each edge runs once in each direction,
-        # so the edges leaving a vertex name each of its neighbours once
-        one, self.one_ring_counts = group(a, b, n, n)
-        self.one_ring_padded = one
-        v = np.repeat(np.arange(n), self.one_ring_counts)
-        u = one[one < n]  # row by row: the directed edges v -> u, sorted
-        self.edges = np.stack([v, u], axis=1)[v < u]
+        keys, faces = validate_topology(self.triangles, n)
+        a, b = np.divmod(keys, n)
+        # on a closed orientable mesh the edges leaving a vertex name each of
+        # its neighbours once and each of its triangles once; sorted by
+        # (a, b), they fill the one-ring rows in ascending order
+        counts = self.one_ring_counts = np.bincount(a, minlength=n)
+        rank = np.arange(len(keys)) - (np.cumsum(counts) - counts)[a]
+        width = int(counts.max(initial=0))
+        one = self.one_ring_padded = np.full((n, width), n, dtype=np.int64)
+        one[a, rank] = b
+        self.vertex_faces = np.full((n, width), len(self.triangles), dtype=np.int64)
+        self.vertex_faces[a, rank] = faces
+        # ascending, so that the face normals of a vertex sum in a fixed order
+        self.vertex_faces.sort(axis=1)
+        self.edges = np.stack([a, b], axis=1)[a < b]
 
-        # the two-ring: the one-rings of v and of its neighbours, with v and
-        # repeats padded out, sorted to the front of each row
-        pad_row = np.full((1, one.shape[1]), n)
-        cand = np.concatenate(
-            [one, np.take(np.concatenate([one, pad_row]), one, axis=0).reshape(n, -1)], axis=1)
+        # the two-ring: the one-rings of v's neighbours, with v and repeats
+        # padded out, sorted to the front of each row.  Each neighbour u of v
+        # is in the one-ring of the third corner of a triangle on the edge
+        # (v, u), which is a neighbour of v too.
+        cand = np.take(np.concatenate([one, np.full((1, width), n)]), one, axis=0).reshape(n, -1)
         cand[cand == np.arange(n)[:, None]] = n
         cand.sort(axis=1)
         cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = n
         cand.sort(axis=1)
         self.ring_counts = np.count_nonzero(cand < n, axis=1)
         self.two_ring_padded = cand[:, :self.ring_counts.max(initial=0)].copy()
-
-        corners = tri.ravel()
-        self.vertex_faces, _ = group(corners, np.arange(len(corners)) // 3, n, len(tri))
 
     @cached_property
     def triangle_edges(self):
@@ -219,6 +212,9 @@ def _edge_lengths(x, edges, rows):
 # ---------------------------------------------------------------------------
 
 
+DIAMETER_SAMPLES = 64  # vertices, evenly spaced by index, that diameter_proxy compares
+
+
 class SurfaceMesh:
     """Closed orientable triangle mesh immersed in S3 with unit normals.
 
@@ -273,19 +269,20 @@ class SurfaceMesh:
                            grid_shape=self.grid_shape, _topology=self.topology)
 
     def validate(self):
+        # each check is written so that a NaN fails it
         dev = unit_deviation(self.vertices)
-        if dev > 1e-10:
+        if not dev <= 1e-10:
             raise MeshError(f"vertex off S3 by {dev:.3e}")
         ndev = unit_deviation(self.normals)
-        if ndev > 1e-8:
+        if not ndev <= 1e-8:
             raise MeshError(f"normal not unit by {ndev:.3e}")
         ortho = np.max(np.abs(np.sum(self.normals * self.vertices, axis=1)))
-        if ortho > 1e-8:
+        if not ortho <= 1e-8:
             raise MeshError(f"normal not tangent to S3 by {ortho:.3e}")
         e = self.topology.edges
         dots = np.einsum("nd,nd->n", np.take(self.normals, e[:, 0], axis=0),
                          np.take(self.normals, e[:, 1], axis=0))
-        if np.any(dots <= 0.0):
+        if not np.all(dots > 0.0):
             raise MeshError("normal field flips across an edge")
 
     # -- aggregates ---------------------------------------------------------
@@ -319,10 +316,11 @@ class SurfaceMesh:
         )
         return float(np.sum(4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))))
 
-    def diameter_proxy(self, n_samples=64):
-        """Max pairwise geodesic distance among up to n_samples vertices."""
+    def diameter_proxy(self):
+        """Max pairwise geodesic distance among up to DIAMETER_SAMPLES
+        vertices."""
         n = self.n_vertices
-        idx = np.linspace(0, n - 1, min(n_samples, n)).astype(np.int64)
+        idx = np.linspace(0, n - 1, min(DIAMETER_SAMPLES, n)).astype(np.int64)
         pts = self.vertices[idx]
         g = np.clip(pts @ pts.T, -1.0, 1.0)
         return float(np.max(np.arccos(g)))
@@ -406,15 +404,34 @@ def _icosphere(level):
 
 def _oriented(vertices, triangles, normals):
     """Flip the winding if it disagrees with the given normal field."""
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    s = np.sum(cross4(a, b - a, c - a) * normals[triangles[:, 0]], axis=1)
+    s = np.sum(_face_normals(vertices, triangles, ALL) * normals[triangles[:, 0]], axis=1)
     if np.all(s < 0):
         return triangles[:, [0, 2, 1]]
     if np.all(s > 0):
         return triangles
     raise MeshError("generator produced mixed triangle orientations")
+
+
+def _sphere(r, level, center, bump=lambda dirs: 0.0):
+    """Vertices, triangles and unit normals of the icosphere at ``level``
+    carried into S3: its direction u, a tangent at ``center``, goes to the
+    point at geodesic distance r + bump(u) from the center, and the normal
+    there points away from the center along the great circle.  The
+    triangles are wound to agree with the normals."""
+    if not (0.0 < r < np.pi):
+        raise ValueError(f"geodesic radius must lie in (0, pi), got {r}")
+    if level < 0:
+        raise ValueError("subdivision level must be >= 0")
+    center = normalize(np.asarray(QUAT_ONE if center is None else center, dtype=float))
+    dirs, tris = _icosphere(level)
+    radius = np.reshape(r + bump(dirs), (-1, 1))
+    if radius.min() <= 0.0 or radius.max() >= np.pi:
+        raise ValueError("perturbation pushes the radius outside (0, pi)")
+    u = dirs @ orthonormal_tangent_basis(center)  # (n, 4) unit tangents at center
+    verts = normalize(np.cos(radius) * center + np.sin(radius) * u)
+    nrm = -np.sin(radius) * center + np.cos(radius) * u
+    nrm = normalize(nrm - np.sum(nrm * verts, axis=1, keepdims=True) * verts)
+    return verts, _oriented(verts, tris, nrm), nrm
 
 
 def make_geodesic_sphere(r, level, center=None):
@@ -424,20 +441,7 @@ def make_geodesic_sphere(r, level, center=None):
     away from the center along great circles.  r = pi/2 gives a great
     (totally geodesic) sphere.
     """
-    if not (0.0 < r < np.pi):
-        raise ValueError(f"geodesic radius must lie in (0, pi), got {r}")
-    if level < 0:
-        raise ValueError("subdivision level must be >= 0")
-    if center is None:
-        center = QUAT_ONE
-    center = normalize(np.asarray(center, dtype=float))
-    dirs, tris = _icosphere(level)
-    basis = orthonormal_tangent_basis(center)  # (3, 4)
-    u = dirs @ basis  # (n, 4) unit tangents at center
-    verts = normalize(np.cos(r) * center + np.sin(r) * u)
-    nrm = -np.sin(r) * center + np.cos(r) * u
-    nrm = normalize(nrm - np.sum(nrm * verts, axis=1, keepdims=True) * verts)
-    tris = _oriented(verts, tris, nrm)
+    verts, tris, nrm = _sphere(r, level, center)
     return SurfaceMesh(verts, tris, normals=nrm)
 
 
@@ -449,31 +453,20 @@ def make_perturbed_sphere(r, level, amplitude, seed, center=None):
     normalized to max |g| = 1.  Normals are recomputed from the winding.
     Deterministic for a given seed.
     """
-    if not (0.0 < r < np.pi):
-        raise ValueError(f"geodesic radius must lie in (0, pi), got {r}")
     if amplitude < 0.0:
         raise ValueError("amplitude must be non-negative")
-    if center is None:
-        center = QUAT_ONE
-    center = normalize(np.asarray(center, dtype=float))
-    dirs, tris = _icosphere(level)
     rng = np.random.default_rng(seed)
     quad = rng.standard_normal((3, 3))
     quad = 0.5 * (quad + quad.T)
     lin = rng.standard_normal(3)
-    g = np.einsum("ni,ij,nj->n", dirs, quad, dirs) + dirs @ lin
-    peak = np.max(np.abs(g))
-    if peak > 0.0:
-        g = g / peak
-    radii = r + amplitude * g
-    if radii.min() <= 0.0 or radii.max() >= np.pi:
-        raise ValueError("perturbation pushes the radius outside (0, pi)")
-    basis = orthonormal_tangent_basis(center)
-    u = dirs @ basis
-    verts = normalize(np.cos(radii)[:, None] * center + np.sin(radii)[:, None] * u)
-    approx_nrm = -np.sin(radii)[:, None] * center + np.cos(radii)[:, None] * u
-    tris = _oriented(verts, tris, approx_nrm)
-    return SurfaceMesh(verts, tris, normals=None)
+
+    def bump(dirs):
+        g = np.einsum("ni,ij,nj->n", dirs, quad, dirs) + dirs @ lin
+        peak = np.max(np.abs(g))
+        return amplitude * (g / peak if peak > 0.0 else g)
+
+    verts, tris, _ = _sphere(r, level, center, bump)
+    return SurfaceMesh(verts, tris)
 
 
 def _grid_torus_triangles(nu, nv):
@@ -884,7 +877,7 @@ class Stepper:
         # and the smoothing strength
         self.x, self.nu, self.offsets = alloc((n, 4)), alloc((n, 4)), alloc(n)
         self.strength = alloc(1)
-        self.moved, self.moved_normals = alloc((n + 1, 4)), alloc((n, 4))
+        self.moved = alloc((n + 1, 4))
         self.moving = alloc(3, bool)  # whether the smoothing moved a vertex of each part
         self.new, self.normals = alloc((n + 1, 4)), alloc((n, 4))
         self.face_normals = alloc((m + 1, 4))
@@ -951,13 +944,15 @@ class Stepper:
 
     def _smooth(self, part):
         v = self.parts[part][0]
-        self.moved_normals[v] = _vertex_normals(self.moved, self.face_normals,
-                                                self.topology.vertex_faces, v)
+        # the moved mesh's normals, which the normals phase overwrites with
+        # the new mesh's; each part reads only its own rows
+        self.normals[v] = _vertex_normals(self.moved, self.face_normals,
+                                          self.topology.vertex_faces, v)
         # the smoothing reads the buffers; this mesh is made only because
         # perfbench counts the moved mesh's normals as a with_vertices call
-        self.mesh.with_vertices(self.moved[:-1], normals=self.moved_normals)
+        self.mesh.with_vertices(self.moved[:-1], normals=self.normals)
         self.new[v], self.moving[part] = _tangential_smooth(
-            self.moved, self.moved_normals, self.topology, self.strength[0], v)
+            self.moved, self.normals, self.topology, self.strength[0], v)
 
     def _geometry(self, part):
         _, f, e = self.parts[part]
@@ -1019,8 +1014,8 @@ class StepWorker(Stepper):
     phase, and one byte back reports it done (b"d") or failed (b"e").  A
     phase that fails in either process runs again over all rows in the
     parent, which raises the error the serial step raises.  When the
-    command pipe ends, the worker writes its peak RSS (``ru_maxrss``, KiB)
-    on the reply pipe and leaves; :meth:`close` keeps it as
+    command pipe ends, the worker leaves; :meth:`close` reaps it with
+    ``os.wait4`` and keeps the ``ru_maxrss`` of its resource usage as
     ``peak_rss_mb``.  The worker is pinned to ``cpu``: where the kernel does
     not balance load between CPUs, a forked process stays on its parent's
     CPU and the two share it.
@@ -1036,7 +1031,7 @@ class StepWorker(Stepper):
     deadlock the child, so :func:`step_worker` starts none while Python runs
     a second thread; a BLAS thread pool is still there, and from Python
     3.12 ``os.fork`` warns (DeprecationWarning) about it.  The worker
-    leaves through ``os._exit``; :meth:`close` reaps it.
+    leaves through ``os._exit``.
     """
 
     def __init__(self, mesh, order, cpu):
@@ -1076,9 +1071,6 @@ class StepWorker(Stepper):
                 except Exception:  # raised again in the parent, see run
                     reply = b"e"
                 os.write(replies, reply)
-            import resource  # Unix only, as os.fork is
-
-            os.write(replies, b"%d" % resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
             status = 0
         except Exception:
             traceback.print_exc()
@@ -1117,13 +1109,9 @@ class StepWorker(Stepper):
         if self.command is None:
             return
         os.close(self.command)
-        os.set_blocking(self.reply, True)
-        left = b"".join(iter(lambda: os.read(self.reply, 64), b""))
         if self.pid is not None:
-            os.waitpid(self.pid, 0)
+            self.peak_rss_mb = os.wait4(self.pid, 0)[2].ru_maxrss / 1024.0
         os.close(self.reply)
-        rss = left.lstrip(b"de")  # after a reply that an interrupted phase left unread
-        self.peak_rss_mb = int(rss) / 1024.0 if rss else None
         self.pid = self.command = self.reply = None
 
 

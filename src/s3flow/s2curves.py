@@ -17,6 +17,10 @@ import numpy as np
 
 from .s3core import normalize
 
+CSF_MAX_STEPS = 500_000  # steps after which run_csf stops
+WEINER_TOTAL_TOL = 0.05  # largest |total geodesic curvature| that weiner_check passes
+HAUSDORFF_SAMPLES = 512  # samples of each curve in hausdorff_distance
+
 
 class S2Curve:
     """A closed polyline on S2 (cyclic samples, piecewise-geodesic).
@@ -224,7 +228,7 @@ class CsfResult:
 
 
 def run_csf(curve: S2Curve, t_end, dt=None, sigma=0.25, resample=True,
-            cadence=10, length_tol=0.05, max_steps=500_000) -> CsfResult:
+            cadence=10, length_tol=0.05) -> CsfResult:
     """Run curve shortening until t_end or until the curve nearly vanishes.
 
     The step obeys the parabolic bound dt <= sigma * (min ds)^2 and is
@@ -238,7 +242,7 @@ def run_csf(curve: S2Curve, t_end, dt=None, sigma=0.25, resample=True,
     curve_times = [0.0]
     status = "TimeExhausted"
     step = 0
-    while t < t_end - 1e-14 and step < max_steps:
+    while t < t_end - 1e-14 and step < CSF_MAX_STEPS:
         if lengths[-1] < length_tol:
             status = "Extinct"
             break
@@ -297,8 +301,8 @@ class WeinerReport:
 
     A pair (gamma1, gamma2) can only arise as the two Gauss images of a
     flat torus if both total curvatures vanish and the subinterval sums
-    obey sup |int_I1 kappa ds| + sup |int_I2 kappa ds| < pi.  The 0.05
-    tolerance on the totals absorbs discretization of the turning angles.
+    obey sup |int_I1 kappa ds| + sup |int_I2 kappa ds| < pi.  The tolerance
+    on the totals absorbs discretization of the turning angles.
     """
 
     total_curvature: tuple
@@ -306,17 +310,16 @@ class WeinerReport:
     sup2: float
     sup_pair: float
     verdict: bool
-    total_tol: float = 0.05
 
 
-def weiner_check(gamma1: S2Curve, gamma2: S2Curve, total_tol=0.05) -> WeinerReport:
+def weiner_check(gamma1: S2Curve, gamma2: S2Curve) -> WeinerReport:
     k1, ds1 = geodesic_curvature(gamma1)
     k2, ds2 = geodesic_curvature(gamma2)
     tot1 = float(np.sum(k1 * ds1))
     tot2 = float(np.sum(k2 * ds2))
     sup1 = sup_subinterval_cyclic(k1 * ds1)
     sup2 = sup_subinterval_cyclic(k2 * ds2)
-    verdict = (abs(tot1) <= total_tol and abs(tot2) <= total_tol
+    verdict = (abs(tot1) <= WEINER_TOTAL_TOL and abs(tot2) <= WEINER_TOTAL_TOL
                and sup1 + sup2 < np.pi)
     return WeinerReport(
         total_curvature=(tot1, tot2),
@@ -324,14 +327,13 @@ def weiner_check(gamma1: S2Curve, gamma2: S2Curve, total_tol=0.05) -> WeinerRepo
         sup2=sup2,
         sup_pair=sup1 + sup2,
         verdict=bool(verdict),
-        total_tol=total_tol,
     )
 
 
-def hausdorff_distance(c1: S2Curve, c2: S2Curve, n_resample=512):
+def hausdorff_distance(c1: S2Curve, c2: S2Curve):
     """Symmetric geodesic Hausdorff distance between two closed curves,
     measured after uniform arclength resampling of both."""
-    a = resample_uniform(c1, n_resample).samples
-    b = resample_uniform(c2, n_resample).samples
+    a = resample_uniform(c1, HAUSDORFF_SAMPLES).samples
+    b = resample_uniform(c2, HAUSDORFF_SAMPLES).samples
     d = np.arccos(np.clip(a @ b.T, -1.0, 1.0))
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

@@ -189,7 +189,7 @@ def _fH_function(expr):
     return build(tree.body)
 
 
-def custom_fH(expr, name="custom_fH"):
+def custom_fH(expr):
     """Speed f(H) given as an expression in the variable H (grammar in
     :func:`_fH_function`); raises ValueError for anything else."""
     f = _fH_function(expr)
@@ -197,7 +197,7 @@ def custom_fH(expr, name="custom_fH"):
     def val(k1, k2):
         return np.asarray(f(k1 + k2), dtype=float)
 
-    return SpeedFunction(name, val, params=(expr,))
+    return SpeedFunction("custom_fH", val, params=(expr,))
 
 
 @dataclass
@@ -374,6 +374,9 @@ def admissibility_bounds(phi: PhiProfile, h):
     return lower, upper
 
 
+FD_STEP = 1e-5  # step of the central differences of Candidate1D.from_callable
+
+
 @dataclass
 class Candidate1D:
     """A candidate speed f(H) with two derivatives, for admissibility checks."""
@@ -384,12 +387,12 @@ class Candidate1D:
     name: str = "f"
 
     @classmethod
-    def from_callable(cls, f, name="f", step=1e-5):
+    def from_callable(cls, f, name="f"):
         def fp(h):
-            return (f(h + step) - f(h - step)) / (2.0 * step)
+            return (f(h + FD_STEP) - f(h - FD_STEP)) / (2.0 * FD_STEP)
 
         def fpp(h):
-            return (f(h + step) - 2.0 * f(h) + f(h - step)) / step ** 2
+            return (f(h + FD_STEP) - 2.0 * f(h) + f(h - FD_STEP)) / FD_STEP ** 2
 
         return cls(f=f, fp=fp, fpp=fpp, name=name)
 

@@ -10,6 +10,7 @@ from s3flow.mesh import (
     MeshError,
     Stepper,
     SurfaceMesh,
+    _Topology,
     _fit_blocks,
     _icosphere,
     estimate_curvature,
@@ -45,6 +46,14 @@ def test_sphere_radius_bounds():
         make_geodesic_sphere(0.0, 2)
     with pytest.raises(ValueError):
         make_geodesic_sphere(np.pi, 2)
+
+
+def test_sphere_level_must_be_non_negative():
+    # range(-1) is empty, so without the check level -1 builds level 0
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        make_geodesic_sphere(1.0, -1)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        make_perturbed_sphere(1.0, -1, 0.05, seed=0)
 
 
 def test_geodesic_sphere_invariants():
@@ -187,6 +196,15 @@ def test_vertex_off_sphere_rejected():
         SurfaceMesh(bad, base.triangles, normals=base.normals)
 
 
+@pytest.mark.parametrize("field, message", [("vertices", "off S3"), ("normals", "not unit")])
+def test_nan_vertex_or_normal_rejected(field, message):
+    base = make_geodesic_sphere(1.0, 2)
+    data = {"vertices": base.vertices.copy(), "normals": base.normals.copy()}
+    data[field][5] = np.nan
+    with pytest.raises(MeshError, match=message):
+        SurfaceMesh(data["vertices"], base.triangles, normals=data["normals"])
+
+
 def test_repeated_vertex_rejected():
     # each directed edge of (0, 0, 1) has its reverse, so only an explicit
     # check catches it
@@ -275,15 +293,17 @@ def _loop_topology(tris, n):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: make_geodesic_sphere(1.0, 2),
-    lambda: make_clifford_torus(16, 16),
-    lambda: make_hopf_torus(make_latitude_circle(1.0, 24), 16),
-], ids=["sphere-l2", "clifford-16", "hopf"])
+    lambda: make_geodesic_sphere(1.0, 0).topology,
+    lambda: make_geodesic_sphere(1.0, 2).topology,
+    lambda: make_clifford_torus(16, 16).topology,
+    lambda: make_hopf_torus(make_latitude_circle(1.0, 24), 16).topology,
+    # every fan has degree 3, the smallest a closed mesh has
+    lambda: _Topology([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]], 4),
+], ids=["sphere-l0", "sphere-l2", "clifford-16", "hopf", "tetrahedron"])
 def test_topology_tables_match_loop_build(build):
-    m = build()
-    topo = m.topology
-    n = m.n_vertices
-    for name, want in _loop_topology(m.triangles, n).items():
+    topo = build()
+    n = topo.n_vertices
+    for name, want in _loop_topology(topo.triangles, n).items():
         np.testing.assert_array_equal(getattr(topo, name), want, err_msg=name)
     for ring, counts in ((topo.one_ring_padded, topo.one_ring_counts),
                          (topo.two_ring_padded, topo.ring_counts)):

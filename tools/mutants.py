@@ -75,8 +75,8 @@ MUTANTS = [
            "            for fd in fds:\n                pass\n",
            (f"{T_FLOW}::test_refused_fork_falls_back_to_the_serial_fit",)),
     Mutant("close without waitpid", MESH,
-           "        if self.pid is not None:\n            os.waitpid(self.pid, 0)\n",
-           "        if self.pid is None:\n            os.waitpid(self.pid, 0)\n",
+           "        if self.pid is not None:\n            self.peak_rss_mb = os.wait4(",
+           "        if self.pid is None:\n            self.peak_rss_mb = os.wait4(",
            (f"{T_FLOW}::test_mesh_degenerate_stop_leaves_no_fit_worker",)),
     Mutant("no speed check", FLOW,
            "            _check_finite(state.step_index, speed=f)\n", "",
@@ -136,8 +136,8 @@ MUTANTS = [
            'if failed or reply != b"d":', "if failed:",
            (f"{T_FLOW}::test_error_in_the_worker_half_raised_as_in_the_serial_step",)),
     Mutant("worker's peak RSS dropped", MESH,
-           "self.peak_rss_mb = int(rss) / 1024.0 if rss else None",
-           "self.peak_rss_mb = None",
+           "self.peak_rss_mb = os.wait4(self.pid, 0)[2].ru_maxrss / 1024.0",
+           "os.wait4(self.pid, 0)",
            (f"{T_FLOW}::test_run_flow_same_on_one_and_two_cpus",)),
     Mutant("cadence 0 accepted", FLOW,
            "        if self.cadence < 1:\n", "        if self.cadence < 0:\n",
@@ -186,6 +186,24 @@ MUTANTS = [
     Mutant("area's sides taken in the wrong order of corners", MESH,
            "a, b, c = np.take(self.edge_lengths()", "b, c, a = np.take(self.edge_lengths()",
            (f"{T_MESH}::test_area_from_edge_lengths_matches_vertex_sum",)),
+    # the topology from one sorted edge list, the sphere builder and validate
+    Mutant("vertex_faces without its row sort", MESH,
+           "        self.vertex_faces.sort(axis=1)\n", "",
+           (f"{T_MESH}::test_topology_tables_match_loop_build",)),
+    Mutant("reverse-edge lookup against the reversed keys", MESH,
+           "keys[keys[np.minimum(np.searchsorted(keys, rev), len(keys) - 1)] != rev]",
+           "keys[rev[np.minimum(np.searchsorted(rev, keys), len(keys) - 1)] != keys]",
+           (f"{T_MESH}::test_topology_errors_name_the_smallest_edge",
+            f"{T_MESH}::test_topology_tables_match_loop_build")),
+    Mutant("validate's NaN checks reverted", MESH,
+           "        if not dev <= 1e-10:\n            raise MeshError(f\"vertex off S3 by {dev:.3e}\")\n"
+           "        ndev = unit_deviation(self.normals)\n        if not ndev <= 1e-8:\n",
+           "        if dev > 1e-10:\n            raise MeshError(f\"vertex off S3 by {dev:.3e}\")\n"
+           "        ndev = unit_deviation(self.normals)\n        if ndev > 1e-8:\n",
+           (f"{T_MESH}::test_nan_vertex_or_normal_rejected",)),
+    Mutant("sphere builder's level check dropped", MESH,
+           '    if level < 0:\n        raise ValueError("subdivision level must be >= 0")\n', "",
+           (f"{T_MESH}::test_sphere_level_must_be_non_negative",)),
 ]
 
 
