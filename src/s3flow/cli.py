@@ -40,7 +40,7 @@ from . import s2curves as curvemod
 from .flow import FlowConfig, StopReason, run_flow
 from .gaussmaps import gauss_maps
 from .mesh import SurfaceMesh, estimate_curvature
-from .s2curves import write_rows
+from .s2curves import read_rows, write_rows
 from .speeds import make_speed
 
 OUTPUT_ROOT_ENV = "S3FLOW_OUTPUT_ROOT"
@@ -232,8 +232,7 @@ def _export_raw4(mesh, path, curvature, comment):
 
 
 def import_raw4(path) -> SurfaceMesh:
-    with open(path) as fh:
-        rows = [line.split(",") for line in map(str.strip, fh) if line and line[0] != "#"]
+    rows = read_rows(path)
     unknown = {row[0] for row in rows} - {"v", "n", "t"}
     if unknown:
         tag = next(row[0] for row in rows if row[0] in unknown)
@@ -326,20 +325,15 @@ _MESH_FORMATS = tuple(fmt for fmt, (_, write) in _EXPORTS.items() if write)
 _TRAJ_HEADER = "t,min_G,max_A2,max_speed,area,epsilon_star,flags"
 
 
-def _flag_cell(rep):
-    return "simons=%.6f|huisken2d=%.6f|okumura=%.6f" % (
-        rep.frac_simons, rep.frac_huisken2d, rep.frac_okumura)
+# the rows of a flow's and of a curve-shortening run's trajectory, under one header
+_FLOW_ROW = ",".join([_FLOAT] * 6) + ",simons=%.6f|huisken2d=%.6f|okumura=%.6f"
+_CURVE_ROW = _FLOAT + ",0,nan,nan," + _FLOAT + ",inf,n/a"
 
 
-def _write_trajectory(path, times, reports):
+def _write_trajectory(path, fmt, rows):
     with open(path, "w") as fh:
         fh.write(_TRAJ_HEADER + "\n")
-        for t, rep in zip(times, reports):
-            fh.write(",".join([
-                _FLOAT % t, _FLOAT % rep.min_G, _FLOAT % rep.max_normA2,
-                _FLOAT % rep.max_abs_speed, _FLOAT % rep.area,
-                _FLOAT % rep.epsilon_star, _flag_cell(rep),
-            ]) + "\n")
+        write_rows(fh, fmt, rows)
 
 
 def _write_fields(path, **values):
@@ -357,7 +351,10 @@ def _run_flow_scenario(sc: Scenario, outdir):
         "snapshot_every": sc.snapshot_every if sc.exports else 0,
     })
     result = run_flow(mesh0, config)
-    _write_trajectory(os.path.join(outdir, "trajectory.csv"), result.times, result.reports)
+    _write_trajectory(os.path.join(outdir, "trajectory.csv"), _FLOW_ROW, [
+        (t, rep.min_G, rep.max_normA2, rep.max_abs_speed, rep.area, rep.epsilon_star,
+         rep.frac_simons, rep.frac_huisken2d, rep.frac_okumura)
+        for t, rep in zip(result.times, result.reports)])
     for i, st in enumerate(result.snapshots):
         stem = os.path.join(outdir, f"snapshot_{i:05d}")
         for fmt in sc.exports:
@@ -386,12 +383,8 @@ def _run_csf_scenario(sc: Scenario, outdir):
     res = curvemod.run_csf(curve, sc.t_end, dt=sc.dt, sigma=sc.sigma,
                            resample=sc.resample, cadence=max(sc.cadence, 1),
                            length_tol=sc.length_tol)
-    with open(os.path.join(outdir, "trajectory.csv"), "w") as fh:
-        fh.write(_TRAJ_HEADER + "\n")
-        for t, length in zip(res.times, res.lengths):
-            fh.write(",".join([
-                _FLOAT % t, "0", "nan", "nan", _FLOAT % length, "inf", "n/a",
-            ]) + "\n")
+    _write_trajectory(os.path.join(outdir, "trajectory.csv"), _CURVE_ROW,
+                      np.stack([res.times, res.lengths], axis=1))
     k_final, _ = curvemod.geodesic_curvature(res.final)
     _write_fields(os.path.join(outdir, "summary"), scenario=sc.name, stop_reason=res.status,
                   t_final=res.times[-1], length_final=res.lengths[-1],

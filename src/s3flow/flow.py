@@ -143,17 +143,13 @@ def epsilon_star(k1, k2):
 
 
 def pinching_report(curvature: CurvatureData, mesh: SurfaceMesh,
-                    speed: SpeedFunction = None) -> PinchingReport:
+                    speed_values) -> PinchingReport:
     flags = speed_huisken_monitor(curvature.kappa1, curvature.kappa2)
-    if speed is not None:
-        max_speed = float(np.max(np.abs(speed.eval(curvature.kappa1, curvature.kappa2))))
-    else:
-        max_speed = float("nan")
     return PinchingReport(
         min_G=float(np.min(curvature.G)),
         max_G=float(np.max(curvature.G)),
         max_normA2=float(np.max(curvature.normA2)),
-        max_abs_speed=max_speed,
+        max_abs_speed=float(np.max(np.abs(speed_values))),
         area=mesh.area(),
         epsilon_star=epsilon_star(curvature.kappa1, curvature.kappa2),
         frac_simons=float(np.mean(flags.simons)),
@@ -259,27 +255,27 @@ def _run(mesh0, config, worker):
     reports = []
     snapshots = []
 
-    def record(st, force=False):
+    def record(st, f, force=False):
         if force or st.step_index % config.cadence == 0:
             times.append(st.t)
-            reports.append(pinching_report(st.curvature, st.mesh, config.speed))
+            reports.append(pinching_report(st.curvature, st.mesh, f))
         if config.snapshot_every > 0 and (force or st.step_index % config.snapshot_every == 0):
             snapshots.append(st)
 
     reason = detail = None
     try:
         while True:
-            record(state)
+            # F once per pass, for the report, the Converged check and the step
+            f = config.speed.eval(state.curvature.kappa1, state.curvature.kappa2)
+            record(state, f)
             _check_finite(state.step_index, vertices=state.mesh.vertices,
                           curvature=(state.curvature.kappa1, state.curvature.kappa2))
-            rep_minG = float(np.min(state.curvature.G))
-            if rep_minG < -config.g_floor:
+            if float(np.min(state.curvature.G)) < -config.g_floor:
                 reason = StopReason.CONDITION_BREACHED
                 break
             if state.mesh.diameter_proxy() < config.width_tol:
                 reason = StopReason.EXTINCT
                 break
-            f = config.speed.eval(state.curvature.kappa1, state.curvature.kappa2)
             _check_finite(state.step_index, speed=f)
             if float(np.max(np.abs(f))) < config.speed_tol:
                 reason = StopReason.CONVERGED
@@ -305,7 +301,7 @@ def _run(mesh0, config, worker):
         reason, detail = StopReason.NUMERICAL_FAILURE, str(exc)
 
     if not times or times[-1] != state.t:
-        record(state, force=True)
+        record(state, f, force=True)
     return FlowResult(
         times=np.array(times),
         reports=reports,
@@ -328,17 +324,20 @@ def _check_finite(step, **values):
 class SphereOdeResult:
     t: np.ndarray
     r: np.ndarray
-    extinction_time: float = None  # None if never reached r_min
+    extinction_time: float = None  # None if never reached ORACLE_R_MIN
 
 
-def sphere_ode_oracle(speed: SpeedFunction, r0, t_end, dt=1e-5,
-                      r_min=1e-3) -> SphereOdeResult:
+ORACLE_DT = 1e-5  # the RK4 step of sphere_ode_oracle
+ORACLE_R_MIN = 1e-3  # the radius from either center at which the oracle stops
+
+
+def sphere_ode_oracle(speed: SpeedFunction, r0, t_end) -> SphereOdeResult:
     """Independent RK4 oracle for the radius of a flowing geodesic sphere.
 
     Geodesic spheres are umbilic with kappa = cot(r), so the exact radius
-    obeys dr/dt = -F(cot r, cot r).  Integration stops when r < r_min
-    (extinction at the center) or r > pi - r_min (extinction at the
-    antipode after expanding over the equator).
+    obeys dr/dt = -F(cot r, cot r).  Integration (step ORACLE_DT) stops when
+    r < ORACLE_R_MIN (extinction at the center) or r > pi - ORACLE_R_MIN
+    (extinction at the antipode after expanding over the equator).
     """
     if not (0.0 < r0 < np.pi):
         raise ValueError("r0 must lie in (0, pi)")
@@ -352,17 +351,17 @@ def sphere_ode_oracle(speed: SpeedFunction, r0, t_end, dt=1e-5,
     rs = [float(r0)]
     t, r = 0.0, float(r0)
     extinction = None
-    n_steps = int(np.ceil(t_end / dt))
+    n_steps = int(np.ceil(t_end / ORACLE_DT))
     for _ in range(n_steps):
         k1 = rhs(r)
-        k2 = rhs(r + 0.5 * dt * k1)
-        k3 = rhs(r + 0.5 * dt * k2)
-        k4 = rhs(r + dt * k3)
-        r = r + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        t += dt
+        k2 = rhs(r + 0.5 * ORACLE_DT * k1)
+        k3 = rhs(r + 0.5 * ORACLE_DT * k2)
+        k4 = rhs(r + ORACLE_DT * k3)
+        r = r + ORACLE_DT * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        t += ORACLE_DT
         ts.append(t)
         rs.append(r)
-        if r < r_min or r > np.pi - r_min:
+        if r < ORACLE_R_MIN or r > np.pi - ORACLE_R_MIN:
             extinction = t
             break
     return SphereOdeResult(t=np.array(ts), r=np.array(rs), extinction_time=extinction)

@@ -82,12 +82,16 @@ def save_curve_csv(curve: S2Curve, path):
         write_rows(fh, "%.17g,%.17g,%.17g", curve.samples)
 
 
+def read_rows(path):
+    """The comma-separated fields of each line of ``path`` but blanks and comments."""
+    with open(path) as fh:
+        return [line.split(",") for line in map(str.strip, fh) if line and line[0] != "#"]
+
+
 def load_curve_csv(path) -> S2Curve:
     """Read a curve written by :func:`save_curve_csv` (or any 3-column CSV)."""
-    with open(path) as fh:
-        rows = [line.split(",") for line in map(str.strip, fh) if line and line[0] != "#"]
     # numpy parses each field as float() does, with its message
-    return S2Curve(np.array(rows, dtype=float))
+    return S2Curve(np.array(read_rows(path), dtype=float))
 
 
 def make_latitude_circle(theta, n):

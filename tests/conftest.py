@@ -3,11 +3,13 @@ several acceptance criteria read different aspects of the same trajectory;
 each fixture also reports its wall time so the runtime budgets can be
 asserted."""
 
+import os
 import time
 
 import numpy as np
 import pytest
 
+from s3flow.cli import list_scenarios, run_scenario
 from s3flow.flow import FlowConfig, run_flow, sphere_ode_oracle
 from s3flow.mesh import (
     make_clifford_torus,
@@ -20,10 +22,26 @@ from s3flow.s2curves import make_latitude_circle
 from s3flow.speeds import arctan_speed, mcf
 
 CENTER = np.array([1.0, 0.0, 0.0, 0.0])
+BUNDLED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "examples.cfg")
 
 
 def mean_radius(mesh, center=CENTER):
     return float(np.mean(np.arccos(np.clip(mesh.vertices @ center, -1.0, 1.0))))
+
+
+@pytest.fixture(scope="session")
+def bundled_runs(tmp_path_factory):
+    """Every scenario of examples.cfg, run once through the CLI into one
+    output directory: that directory, and the exit status and wall time of
+    each scenario by name."""
+    out = tmp_path_factory.mktemp("bundled")
+    runs = {}
+    for name, _ in list_scenarios(BUNDLED):
+        t0 = time.perf_counter()
+        status = run_scenario(BUNDLED, name, output_dir=str(out))
+        runs[name] = (status, time.perf_counter() - t0)
+    return out, runs
 
 
 @pytest.fixture(scope="session")

@@ -300,10 +300,10 @@ def test_stereographic_projection_formula():
 # -- scenario runs -----------------------------------------------------------
 
 
-def test_great_sphere_scenario_runs(tmp_path):
-    code = run_scenario(BUNDLED, "great-sphere-arctan", output_dir=str(tmp_path))
-    assert code == 0
-    out = tmp_path / "great-sphere-arctan"
+def test_great_sphere_scenario_runs(bundled_runs):
+    root, runs = bundled_runs
+    assert runs["great-sphere-arctan"][0] == 0
+    out = root / "great-sphere-arctan"
     traj = (out / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "t,min_G,max_A2,max_speed,area,epsilon_star,flags"
     first = traj[1].split(",")
@@ -312,10 +312,10 @@ def test_great_sphere_scenario_runs(tmp_path):
     assert "stop_reason: Converged" in summary
 
 
-def test_weiner_scenario_runs(tmp_path):
-    code = run_scenario(BUNDLED, "weiner-check-demo", output_dir=str(tmp_path))
-    assert code == 0
-    rep = (tmp_path / "weiner-check-demo" / "weiner_report.txt").read_text()
+def test_weiner_scenario_runs(bundled_runs):
+    root, runs = bundled_runs
+    assert runs["weiner-check-demo"][0] == 0
+    rep = (root / "weiner-check-demo" / "weiner_report.txt").read_text()
     assert "verdict: fail" in rep  # a latitude circle is not a Gauss image
 
 
@@ -442,10 +442,10 @@ def test_hopf_from_csv_curve(tmp_path):
     assert len(c) == 32
 
 
-def test_sphere_mcf_scenario_extinction(tmp_path):
-    code = run_scenario(BUNDLED, "sphere-mcf-shrink", output_dir=str(tmp_path))
-    assert code == 0
-    summary = (tmp_path / "sphere-mcf-shrink" / "summary").read_text()
+def test_sphere_mcf_scenario_extinction(bundled_runs):
+    root, runs = bundled_runs
+    assert runs["sphere-mcf-shrink"][0] == 0
+    summary = (root / "sphere-mcf-shrink" / "summary").read_text()
     assert "stop_reason: Extinct" in summary
     t_final = float(summary.split("t_final: ")[1].split("\n")[0])
     assert abs(t_final - 0.34657) / 0.34657 < 0.05
@@ -461,14 +461,11 @@ def test_sphere_mcf_scenario_extinction(tmp_path):
         "latitude-csf",
     ],
 )
-def test_remaining_bundled_scenarios_complete_quickly(tmp_path, scenario):
+def test_remaining_bundled_scenarios_complete_quickly(bundled_runs, scenario):
     # every bundled scenario finishes healthy in under a minute
-    import time
-
-    t0 = time.perf_counter()
-    code = run_scenario(BUNDLED, scenario, output_dir=str(tmp_path))
-    elapsed = time.perf_counter() - t0
+    root, runs = bundled_runs
+    code, elapsed = runs[scenario]
     assert code == 0
     assert elapsed < 60.0, (scenario, elapsed)
-    assert (tmp_path / scenario / "summary").exists()
-    assert (tmp_path / scenario / "trajectory.csv").exists()
+    assert (root / scenario / "summary").exists()
+    assert (root / scenario / "trajectory.csv").exists()

@@ -1,7 +1,7 @@
-"""Golden trajectories: each bundled flow scenario, rerun through the CLI,
-reproduces the trajectory.csv and summary recorded in tests/golden/; the
-curve-shortening and Weiner scenarios reproduce their trajectory, last
-curve and report.
+"""Golden trajectories: each bundled flow scenario, run once through the CLI
+by the ``bundled_runs`` fixture, reproduces the trajectory.csv and summary
+recorded in tests/golden/; the curve-shortening and Weiner scenarios
+reproduce their trajectory, last curve and report.
 
 Refactors may change round-off but not the run: row counts, stop reasons,
 step counts, the flags cells and every other text cell must match exactly,
@@ -14,10 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from s3flow.cli import run_scenario
-
 TESTS = os.path.dirname(os.path.abspath(__file__))
-BUNDLED = os.path.join(os.path.dirname(TESTS), "examples.cfg")
 GOLDEN = os.path.join(TESTS, "golden")
 
 FLOW_SCENARIOS = (
@@ -37,9 +34,10 @@ def _read(path):
 
 
 @pytest.mark.parametrize("name", FLOW_SCENARIOS)
-def test_flow_scenario_matches_golden(name, tmp_path):
-    assert run_scenario(BUNDLED, name, output_dir=str(tmp_path)) == 0
-    got_dir = tmp_path / name
+def test_flow_scenario_matches_golden(name, bundled_runs):
+    out, runs = bundled_runs
+    assert runs[name][0] == 0
+    got_dir = out / name
     want_dir = os.path.join(GOLDEN, name)
 
     got = _read(got_dir / "trajectory.csv")
@@ -70,10 +68,11 @@ OTHER_SCENARIOS = {
 
 
 @pytest.mark.parametrize("name", sorted(OTHER_SCENARIOS))
-def test_other_scenario_matches_golden(name, tmp_path):
-    assert run_scenario(BUNDLED, name, output_dir=str(tmp_path)) == 0
+def test_other_scenario_matches_golden(name, bundled_runs):
+    out, runs = bundled_runs
+    assert runs[name][0] == 0
     for fname in OTHER_SCENARIOS[name]:
-        got = _read(tmp_path / name / fname)
+        got = _read(out / name / fname)
         want = _read(os.path.join(GOLDEN, name, fname))
         assert len(got) == len(want), fname
         for row, (g, w) in enumerate(zip(got, want)):
@@ -89,5 +88,5 @@ def test_other_scenario_matches_golden(name, tmp_path):
                 else:
                     _close(gv, wv, what)
     if name == "latitude-csf":
-        curves = sorted(p.name for p in (tmp_path / name).glob("curve_*.csv"))
+        curves = sorted(p.name for p in (out / name).glob("curve_*.csv"))
         assert curves[-1] == "curve_00062.csv"

@@ -363,11 +363,13 @@ def test_triangle_edges_are_the_sides_opposite_each_corner(name):
         np.testing.assert_array_equal(ends[:, k], other)
 
 
-def test_flagged_vertices_inherit_neighbors():
+def test_flagged_vertices_inherit_neighbors(monkeypatch):
     # an extremely tight condition limit flags everything except nothing to
     # inherit from; with a sane limit nothing is flagged on clean meshes
     m = make_geodesic_sphere(np.pi / 3, 3)
-    c = estimate_curvature(m, cond_limit=1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(mesh_module, "COND_LIMIT", 1.0)
+        c = estimate_curvature(m)
     assert c.n_flagged == m.n_vertices
     c2 = estimate_curvature(m)
     assert c2.n_flagged == 0
@@ -427,7 +429,7 @@ def test_fit_blocks_independent_of_block_layout(order):
     for rows in (slice(0, n), slice(64, n), slice(321, 600)):
         for block in (1, 37, default, n):
             out = (np.zeros((n, 3)), np.zeros(n), np.zeros(n, bool))
-            _fit_blocks(stepper.frame, stepper.new, m.topology, order, out, rows, block)
+            _fit_blocks(stepper.new, stepper.normals, m.topology, order, out, rows, block)
             for got, full in zip(out, want):
                 assert np.array_equal(got[rows], full[rows]), (rows, block)
                 # rows outside the range are left as they were

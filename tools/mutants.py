@@ -82,6 +82,11 @@ MUTANTS = [
            "            _check_finite(state.step_index, speed=f)\n", "",
            (f"{T_FLOW}::test_nan_speed_stops_as_numerical_failure",
             f"{T_CLI}::test_numerical_failure_exits_4")),
+    Mutant("the report evaluating the speed again", FLOW,
+           "reports.append(pinching_report(st.curvature, st.mesh, f))",
+           "reports.append(pinching_report(st.curvature, st.mesh, "
+           "config.speed.eval(st.curvature.kappa1, st.curvature.kappa2)))",
+           (f"{T_FLOW}::test_speed_evaluated_once_per_step",)),
     Mutant("MeshDegenerate detail dropped", FLOW,
            "StopReason.MESH_DEGENERATE, str(exc)", "StopReason.MESH_DEGENERATE, None",
            (f"{T_CLI}::test_mesh_degenerate_exits_3",)),
@@ -129,6 +134,11 @@ MUTANTS = [
            "new._triangle_cosines = self.cosines.copy()",
            "new._triangle_cosines = self.cosines[:len(self.cosines) // 2].copy()",
            (f"{T_FLOW}::test_sliver_in_the_worker_half_stops_the_step",)),
+    Mutant("the move writing over its own input", MESH,
+           "        self.moved[v] = geodesic_step(self.new[v], self.normals[v], self.offsets[v])\n",
+           "        self.new[v] = geodesic_step(self.new[v], self.normals[v], self.offsets[v])\n"
+           "        self.moved[v] = self.new[v]\n",
+           (f"{T_FLOW}::test_phase_rerun_after_a_failed_half_bit_identical_to_serial",)),
     Mutant("edges split off the middle", MESH,
            "slice(ne * i // 2, ne * j // 2)", "slice(ne * i // 2, ne * j // 2 - i)",
            (f"{T_FLOW}::test_split_step_bit_identical_to_serial",)),
