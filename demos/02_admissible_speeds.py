@@ -11,7 +11,7 @@ curvature flow itself fails the test: its ratio is identically zero.
 import numpy as np
 
 from s3flow.speeds import (
-    Candidate1D,
+    Profile,
     admissibility_bounds,
     candidate_affine_arctan,
     check_admissible,
@@ -30,11 +30,10 @@ grid = np.linspace(-10, 10, 2001)
 candidates = [
     candidate_affine_arctan(0.0, 1.0),
     candidate_affine_arctan(0.3, 2.5),
-    Candidate1D(lambda h: h, lambda h: np.ones_like(h), lambda h: np.zeros_like(h),
-                "H (mean curvature)"),
-    Candidate1D(lambda h: h ** 3 + h, lambda h: 3 * h * h + 1, lambda h: 6 * h,
-                "H^3 + H"),
-    Candidate1D(np.exp, np.exp, np.exp, "exp(H)"),
+    Profile(lambda h: h, lambda h: np.ones_like(h), lambda h: np.zeros_like(h),
+            "H (mean curvature)"),
+    Profile(lambda h: h ** 3 + h, lambda h: 3 * h * h + 1, lambda h: 6 * h, "H^3 + H"),
+    Profile(np.exp, np.exp, np.exp, "exp(H)"),
 ]
 print("\ncandidate speeds on H in [-10, 10]:")
 for cand in candidates:

@@ -111,35 +111,29 @@ class FlowResult:
     worker_peak_rss_mb: float = None  # the step worker's, None without one
 
 
+def _epsilon(k1, k2):
+    """Per point, the largest eps with (k1, k2) inside Omega_eps:
+    (1 + k1 k2)/|k1 - k2| where k1 k2 <= 1, 2/|k1 - k2| where k1 k2 >= 1
+    (the two agree on the seam), infinite at umbilic points."""
+    k1 = np.asarray(k1, dtype=float)
+    k2 = np.asarray(k2, dtype=float)
+    lam = np.abs(k1 - k2)
+    prod = k1 * k2
+    bound = np.where(prod <= 1.0, 1.0 + prod, 2.0) / np.maximum(lam, 1e-300)
+    return np.where(lam == 0.0, np.inf, bound)
+
+
 def omega_epsilon_member(k1, k2, eps):
     """Membership in the preserved curvature region Omega_eps (eps > 0)."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    lam = np.abs(k1 - k2)
-    prod = k1 * k2
-    return ((prod <= 1.0) & (lam <= (1.0 + prod) / eps)) | (
-        (prod >= 1.0) & (lam <= 2.0 / eps)
-    )
+    return _epsilon(k1, k2) >= eps
 
 
 def epsilon_star(k1, k2):
-    """Largest eps with every (k1, k2) inside Omega_eps, clamped at 0.
-
-    Per point: (1 + k1 k2)/|k1 - k2| on the product <= 1 side and
-    2/|k1 - k2| on the product >= 1 side (the two agree on the seam);
-    umbilic points impose no constraint (infinity).
-    """
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    lam = np.abs(k1 - k2)
-    prod = k1 * k2
-    with np.errstate(divide="ignore"):
-        low = np.where(lam > 0.0, (1.0 + prod) / np.maximum(lam, 1e-300), np.inf)
-        high = np.where(lam > 0.0, 2.0 / np.maximum(lam, 1e-300), np.inf)
-    per_vertex = np.where(prod <= 1.0, low, high)
-    return float(max(np.min(per_vertex), 0.0))
+    """Largest eps with every (k1, k2) inside Omega_eps, clamped at 0; NaN
+    where a point's is NaN."""
+    return float(max(np.min(_epsilon(k1, k2)), 0.0))
 
 
 def pinching_report(curvature: CurvatureData, mesh: SurfaceMesh,

@@ -39,8 +39,10 @@ from .s3core import (  # noqa: F401
     quat_conj,
     quat_mul,
     row_norms,
+    tangent_project,
     unit_deviation,
     QUAT_I,
+    QUAT_J,
     QUAT_ONE,
 )
 
@@ -429,8 +431,7 @@ def _sphere(r, level, center, bump=lambda dirs: 0.0):
         raise ValueError("perturbation pushes the radius outside (0, pi)")
     u = dirs @ orthonormal_tangent_basis(center)  # (n, 4) unit tangents at center
     verts = normalize(np.cos(radius) * center + np.sin(radius) * u)
-    nrm = -np.sin(radius) * center + np.cos(radius) * u
-    nrm = normalize(nrm - np.sum(nrm * verts, axis=1, keepdims=True) * verts)
+    nrm = normalize(tangent_project(verts, -np.sin(radius) * center + np.cos(radius) * u))
     return verts, _oriented(verts, tris, nrm), nrm
 
 
@@ -500,52 +501,39 @@ def make_clifford_torus(nu, nv):
     return SurfaceMesh(verts, tris, normals=nrm, grid_shape=(nu, nv))
 
 
-def _lift_to_fiber(c):
-    """One quaternion q with hopf_project(q) = c (c a unit 3-vector)."""
-    c = np.asarray(c, dtype=float)
-    i_axis = np.array([1.0, 0.0, 0.0])
-    d = float(np.dot(i_axis, c))
-    if d > 1.0 - 1e-14:
-        return QUAT_ONE.copy()
-    if d < -1.0 + 1e-14:
-        return np.array([0.0, 0.0, 1.0, 0.0])  # rotate about j by pi
-    axis = np.cross(i_axis, c)
-    axis = axis / np.linalg.norm(axis)
+def _rotation(a, b):
+    """The conjugate of the unit quaternion that turns the unit 3-vector a
+    into b about a x b, so that q times it lifts b where q lifts a (under
+    hopf_project).  1 where a x b or the angle vanishes; where b = -a, the
+    turn by pi about j, which carries i into -i."""
+    axis = np.cross(a, b)
+    an = np.linalg.norm(axis)
+    d = float(np.dot(a, b))
+    if an < 1e-15 and d < 0.0:
+        return QUAT_J.copy()
     t = np.arccos(np.clip(d, -1.0, 1.0))
-    a = np.concatenate([[np.cos(0.5 * t)], np.sin(0.5 * t) * axis])
-    return quat_conj(a)
+    if an < 1e-15 or t < 1e-15:
+        return QUAT_ONE.copy()
+    return quat_conj(np.concatenate([[np.cos(0.5 * t)], np.sin(0.5 * t) * (axis / an)]))
 
 
 def make_hopf_torus(curve, n_fiber):
-    """Hopf-fiber torus over a closed curve on S2.
+    """Hopf-fiber torus over the closed :class:`S2Curve` ``curve``.
 
     For each curve sample the full Hopf fiber circle is sampled ``n_fiber``
     times; the lift is chosen continuously along the curve and the fiber
     phase is sheared to absorb the lift holonomy so the seam closes.
     The preimage of any curve is intrinsically flat (G = 0).
     """
-    samples = np.asarray(getattr(curve, "samples", curve), dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 3 or len(samples) < 8:
-        raise ValueError("curve must provide >= 8 unit 3-vector samples")
     if n_fiber < 8:
         raise ValueError("need n_fiber >= 8")
+    samples = curve.samples
     n_curve = len(samples)
 
     lifts = np.empty((n_curve + 1, 4))
-    lifts[0] = _lift_to_fiber(samples[0])
+    lifts[0] = _rotation(QUAT_I[1:], samples[0])
     for k in range(n_curve):
-        c0 = samples[k]
-        c1 = samples[(k + 1) % n_curve]
-        axis = np.cross(c0, c1)
-        an = np.linalg.norm(axis)
-        t = np.arccos(np.clip(float(np.dot(c0, c1)), -1.0, 1.0))
-        if an < 1e-15 or t < 1e-15:
-            step = QUAT_ONE
-        else:
-            axis = axis / an
-            a = np.concatenate([[np.cos(0.5 * t)], np.sin(0.5 * t) * axis])
-            step = quat_conj(a)
-        lifts[k + 1] = quat_mul(lifts[k], step)
+        lifts[k + 1] = quat_mul(lifts[k], _rotation(samples[k], samples[(k + 1) % n_curve]))
 
     h = quat_mul(lifts[n_curve], quat_conj(lifts[0]))
     off_fiber = float(np.hypot(h[2], h[3]))
@@ -556,8 +544,7 @@ def make_hopf_torus(curve, n_fiber):
         )
     holonomy = float(np.arctan2(h[1], h[0]))
 
-    seg = geodesic_distance(samples, np.roll(samples, -1, axis=0))
-    frac = np.concatenate([[0.0], np.cumsum(seg)]) / np.sum(seg)
+    frac = np.concatenate([[0.0], np.cumsum(curve.gaps)]) / np.sum(curve.gaps)
     phase = -holonomy * frac[:n_curve]
     tw = np.stack(
         [np.cos(phase), np.sin(phase), np.zeros(n_curve), np.zeros(n_curve)], axis=-1
@@ -574,9 +561,7 @@ def make_hopf_torus(curve, n_fiber):
     grid = verts.reshape(n_curve, n_fiber, 4)
     t_fib = quat_mul(QUAT_I, grid)
     t_base = np.roll(grid, -1, axis=0) - np.roll(grid, 1, axis=0)
-    t_base = t_base - np.sum(t_base * grid, axis=-1, keepdims=True) * grid
-    t_base = t_base - np.sum(t_base * t_fib, axis=-1, keepdims=True) * t_fib
-    t_base = normalize(t_base)
+    t_base = normalize(tangent_project(t_fib, tangent_project(grid, t_base)))
     nrm = normalize(cross4(grid, t_fib, t_base)).reshape(-1, 4)
 
     tris = _oriented(verts, _grid_torus_triangles(n_curve, n_fiber), nrm)
@@ -1035,6 +1020,8 @@ class StepWorker(Stepper):
     leaves through ``os._exit``.
     """
 
+    _open = set()  # the parent's pipe ends of every open worker
+
     def __init__(self, mesh, order, cpu):
         super().__init__(mesh, order, alloc=_shared)
         self.cpu = cpu
@@ -1053,13 +1040,16 @@ class StepWorker(Stepper):
         os.close(cmd_r)
         os.close(rep_w)
         os.set_blocking(self.reply, False)
+        self._open.update((self.command, self.reply))
 
     def _serve(self, commands, replies):
         """The worker: its part of one phase per byte, until the pipe ends."""
         status = 1
         try:
-            os.close(self.command)
-            os.close(self.reply)
+            # a command end of another worker held here would keep that
+            # worker's pipe from ending, and its close waiting for ever
+            for fd in self._open | {self.command, self.reply}:
+                os.close(fd)
             try:
                 os.sched_setaffinity(0, {self.cpu})
             except OSError:  # a CPU the mask names but this process may not use
@@ -1113,6 +1103,7 @@ class StepWorker(Stepper):
         if self.pid is not None:
             self.peak_rss_mb = os.wait4(self.pid, 0)[2].ru_maxrss / 1024.0
         os.close(self.reply)
+        self._open.difference_update((self.command, self.reply))
         self.pid = self.command = self.reply = None
 
 

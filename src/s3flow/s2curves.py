@@ -173,24 +173,21 @@ def resample_uniform(curve: S2Curve, n=None) -> S2Curve:
     p = curve.samples
     if n is None:
         n = len(p)
-    seg = curve.gaps
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    cum = np.concatenate([[0.0], np.cumsum(curve.gaps)])
     total = cum[-1]
     targets = total * np.arange(n) / n
     idx = np.searchsorted(cum, targets, side="right") - 1
     idx = np.clip(idx, 0, len(p) - 1)
-    frac = (targets - cum[idx]) / np.maximum(seg[idx], 1e-300)
+    # the angle of each segment, from the gaps, which are accurate at every
+    # angle and at least 1e-8
+    omega = curve.gaps[idx]
+    frac = (targets - cum[idx]) / omega
     a = np.take(p, idx, axis=0)
     b = np.take(p, idx + 1, axis=0, mode="wrap")
-    omega = np.arccos(np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0))
     # the weights sin((1 - frac) omega) and sin(frac omega) of the spherical
     # lerp, without their common divisor sin(omega): the sum is normalised
     w1 = np.sin((1.0 - frac) * omega)
     w2 = np.sin(frac * omega)
-    small = omega < 1e-9
-    if small.any():  # arccos of the rounded cosine reads gaps below 1.05e-8 as 0
-        w1[small] = 1.0 - frac[small]
-        w2[small] = frac[small]
     out = w1[:, None] * a
     out += w2[:, None] * b
     out /= np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]

@@ -50,13 +50,30 @@ class PhiDegenerateWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-def _fd_partials(func, k1, k2):
-    """Central finite differences, step 1e-5 * max(1, |kappa|)."""
-    h1 = 1e-5 * np.maximum(1.0, np.abs(k1))
-    h2 = 1e-5 * np.maximum(1.0, np.abs(k2))
-    d1 = (func(k1 + h1, k2) - func(k1 - h1, k2)) / (2.0 * h1)
-    d2 = (func(k1, k2 + h2) - func(k1, k2 - h2)) / (2.0 * h2)
-    return d1, d2
+FD_STEP = 1e-5  # step of the central differences of Profile.from_callable
+
+
+@dataclass(frozen=True)
+class Profile:
+    """A function of the mean curvature H with its first two derivatives:
+    a speed f(H) or a profile phi(H)."""
+
+    f: Callable
+    d1: Callable
+    d2: Callable
+    name: str = "f"
+
+    @classmethod
+    def from_callable(cls, f, name="f"):
+        """``f`` with both derivatives by central differences of step FD_STEP."""
+
+        def d1(h):
+            return (f(h + FD_STEP) - f(h - FD_STEP)) / (2.0 * FD_STEP)
+
+        def d2(h):
+            return (f(h + FD_STEP) - 2.0 * f(h) + f(h - FD_STEP)) / FD_STEP ** 2
+
+        return cls(f, d1, d2, name)
 
 
 class SpeedFunction:
@@ -66,13 +83,12 @@ class SpeedFunction:
     ----------
     name : str
     func : callable (k1, k2) -> F, vectorized
-    partials : callable, optional
-        (k1, k2) -> (dF/dk1, dF/dk2); central differences when omitted.
+    partials : callable (k1, k2) -> (dF/dk1, dF/dk2), vectorized
     params : tuple, optional
         Constructor arguments, shown in the repr.
     """
 
-    def __init__(self, name, func, partials=None, params=()):
+    def __init__(self, name, func, partials, params=()):
         self.name = name
         self.params = tuple(params)
         self._func = func
@@ -91,9 +107,20 @@ class SpeedFunction:
     def partials(self, k1, k2):
         k1 = np.asarray(k1, dtype=float)
         k2 = np.asarray(k2, dtype=float)
-        if self._partials is not None:
-            return self._partials(k1, k2)
-        return _fd_partials(self._func, k1, k2)
+        return self._partials(k1, k2)
+
+
+def _speed_of_H(profile: Profile, name, params):
+    """F(k1, k2) = f(k1 + k2), whose partials are both f'(H)."""
+
+    def val(k1, k2):
+        return np.asarray(profile.f(k1 + k2), dtype=float)
+
+    def parts(k1, k2):
+        d = np.asarray(profile.d1(k1 + k2), dtype=float)
+        return d, d.copy()
+
+    return SpeedFunction(name, val, parts, params)
 
 
 def _arctan_value(k1, k2):
@@ -129,16 +156,7 @@ def arctan_speed():
 
 def affine_arctan(c1, c2):
     """F = C1 + C2 arctan(H / 2), the admissible family for the pinch phi."""
-
-    def val(k1, k2):
-        return c1 + c2 * np.arctan(0.5 * (k1 + k2))
-
-    def parts(k1, k2):
-        h = k1 + k2
-        d = 2.0 * c2 / (4.0 + h * h)
-        return d, np.copy(np.broadcast_to(d, np.shape(d)))
-
-    return SpeedFunction("affine_arctan", val, partials=parts, params=(c1, c2))
+    return _speed_of_H(candidate_affine_arctan(c1, c2), "affine_arctan", (c1, c2))
 
 
 _FH_FUNCTIONS = {
@@ -191,13 +209,9 @@ def _fH_function(expr):
 
 def custom_fH(expr):
     """Speed f(H) given as an expression in the variable H (grammar in
-    :func:`_fH_function`); raises ValueError for anything else."""
-    f = _fH_function(expr)
-
-    def val(k1, k2):
-        return np.asarray(f(k1 + k2), dtype=float)
-
-    return SpeedFunction("custom_fH", val, params=(expr,))
+    :func:`_fH_function`), its derivative by central differences; raises
+    ValueError for anything else."""
+    return _speed_of_H(Profile.from_callable(_fH_function(expr)), "custom_fH", (expr,))
 
 
 @dataclass
@@ -231,33 +245,23 @@ def speed_huisken_monitor(k1, k2) -> ConditionFlags:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhiProfile:
-    """A positive profile phi(H) with two derivatives."""
-
-    phi: Callable
-    dphi: Callable
-    d2phi: Callable
-    name: str = "phi"
-
-
-def phi_pinch() -> PhiProfile:
+def phi_pinch() -> Profile:
     """phi(H) = sqrt(4 + H^2), the profile whose zero set is G_intrinsic = 0."""
-    return PhiProfile(
-        phi=lambda h: np.sqrt(4.0 + np.asarray(h, dtype=float) ** 2),
-        dphi=lambda h: np.asarray(h, dtype=float) / np.sqrt(4.0 + np.asarray(h, dtype=float) ** 2),
-        d2phi=lambda h: 4.0 / np.sqrt(4.0 + np.asarray(h, dtype=float) ** 2) ** 3,
+    return Profile(
+        f=lambda h: np.sqrt(4.0 + np.asarray(h, dtype=float) ** 2),
+        d1=lambda h: np.asarray(h, dtype=float) / np.sqrt(4.0 + np.asarray(h, dtype=float) ** 2),
+        d2=lambda h: 4.0 / np.sqrt(4.0 + np.asarray(h, dtype=float) ** 2) ** 3,
         name="sqrt(4+H^2)",
     )
 
 
-def phi_constant(c) -> PhiProfile:
+def phi_constant(c) -> Profile:
     if c <= 0:
         raise ValueError("phi must be positive")
-    return PhiProfile(
-        phi=lambda h: np.full_like(np.asarray(h, dtype=float), float(c)),
-        dphi=lambda h: np.zeros_like(np.asarray(h, dtype=float)),
-        d2phi=lambda h: np.zeros_like(np.asarray(h, dtype=float)),
+    return Profile(
+        f=lambda h: np.full_like(np.asarray(h, dtype=float), float(c)),
+        d1=lambda h: np.zeros_like(np.asarray(h, dtype=float)),
+        d2=lambda h: np.zeros_like(np.asarray(h, dtype=float)),
         name=f"const({c})",
     )
 
@@ -272,17 +276,16 @@ class HGSpeed:
     name: str = "f"
 
 
-def hg_from_fH(f, fH, name="f(H)"):
+def hg_from_fH(f: Profile) -> HGSpeed:
     """Wrap a speed depending on H alone as an :class:`HGSpeed`."""
     return HGSpeed(
-        value=lambda h, g: np.asarray(f(h), dtype=float),
-        dH=lambda h, g: np.asarray(fH(h), dtype=float),
-        dG=None,
-        name=name,
+        value=lambda h, g: np.asarray(f.f(h), dtype=float),
+        dH=lambda h, g: np.asarray(f.d1(h), dtype=float),
+        name=f.name,
     )
 
 
-def z_term(f: HGSpeed, phi: PhiProfile, k1, k2):
+def z_term(f: HGSpeed, phi: Profile, k1, k2):
     """The reaction term of the evolution of G, in its two printed routes.
 
     Route A contracts the curvature tensor expression
@@ -308,8 +311,8 @@ def z_term(f: HGSpeed, phi: PhiProfile, k1, k2):
     k2 = np.asarray(k2, dtype=float)
     lam = k1 - k2
     h = k1 + k2
-    ph = np.asarray(phi.phi(h), dtype=float)
-    dp = np.asarray(phi.dphi(h), dtype=float)
+    ph = np.asarray(phi.f(h), dtype=float)
+    dp = np.asarray(phi.d1(h), dtype=float)
     if np.any((np.abs(lam) < 1e-12) & (np.abs(dp) < 1e-12)):
         raise ValueError(
             "singular (H, G) chart: kappa1 = kappa2 with phi'(H) = 0 makes "
@@ -341,7 +344,7 @@ def z_term(f: HGSpeed, phi: PhiProfile, k1, k2):
 # ---------------------------------------------------------------------------
 
 
-def admissibility_bounds(phi: PhiProfile, h):
+def admissibility_bounds(phi: Profile, h):
     """Endpoints of the preservation condition on f''/f' at mean curvature h.
 
     Returns (lower, upper) with
@@ -355,11 +358,11 @@ def admissibility_bounds(phi: PhiProfile, h):
     phi = sqrt(4 + H^2) both bounds equal -2H / (4 + H^2).
     """
     h = np.asarray(h, dtype=float)
-    ph = np.asarray(phi.phi(h), dtype=float)
+    ph = np.asarray(phi.f(h), dtype=float)
     if np.any(ph <= 0.0):
         raise ValueError("phi must be positive")
-    p = np.asarray(phi.dphi(h), dtype=float)
-    pp = np.asarray(phi.d2phi(h), dtype=float)
+    p = np.asarray(phi.d1(h), dtype=float)
+    pp = np.asarray(phi.d2(h), dtype=float)
     if np.any(np.abs(p) > 1.0 + 1e-12):
         raise ValueError("admissibility bounds assume |phi'| <= 1")
     if np.any(np.abs(np.abs(p) - 1.0) < 1e-14):
@@ -374,34 +377,12 @@ def admissibility_bounds(phi: PhiProfile, h):
     return lower, upper
 
 
-FD_STEP = 1e-5  # step of the central differences of Candidate1D.from_callable
-
-
-@dataclass
-class Candidate1D:
-    """A candidate speed f(H) with two derivatives, for admissibility checks."""
-
-    f: Callable
-    fp: Callable
-    fpp: Callable
-    name: str = "f"
-
-    @classmethod
-    def from_callable(cls, f, name="f"):
-        def fp(h):
-            return (f(h + FD_STEP) - f(h - FD_STEP)) / (2.0 * FD_STEP)
-
-        def fpp(h):
-            return (f(h + FD_STEP) - 2.0 * f(h) + f(h - FD_STEP)) / FD_STEP ** 2
-
-        return cls(f=f, fp=fp, fpp=fpp, name=name)
-
-
-def candidate_affine_arctan(c1, c2):
-    return Candidate1D(
+def candidate_affine_arctan(c1, c2) -> Profile:
+    """f(H) = C1 + C2 arctan(H / 2), the admissible family for the pinch phi."""
+    return Profile(
         f=lambda h: c1 + c2 * np.arctan(0.5 * np.asarray(h, dtype=float)),
-        fp=lambda h: 2.0 * c2 / (4.0 + np.asarray(h, dtype=float) ** 2),
-        fpp=lambda h: -4.0 * c2 * np.asarray(h, dtype=float) / (4.0 + np.asarray(h, dtype=float) ** 2) ** 2,
+        d1=lambda h: 2.0 * c2 / (4.0 + np.asarray(h, dtype=float) ** 2),
+        d2=lambda h: -4.0 * c2 * np.asarray(h, dtype=float) / (4.0 + np.asarray(h, dtype=float) ** 2) ** 2,
         name=f"{c1} + {c2} arctan(H/2)",
     )
 
@@ -423,7 +404,7 @@ class AdmissibilityReport:
         return bool(self.pinched_ratio_dev <= 1e-9)
 
 
-def check_admissible(f: Candidate1D, phi: PhiProfile, h_samples, tol=1e-9):
+def check_admissible(f: Profile, phi: Profile, h_samples, tol=1e-9):
     """Evaluate the preservation inequality for a candidate speed f(H).
 
     Requires f' > 0 on the samples.  The verdict passes iff
@@ -433,10 +414,10 @@ def check_admissible(f: Candidate1D, phi: PhiProfile, h_samples, tol=1e-9):
     affine arctan family).
     """
     h = np.asarray(h_samples, dtype=float)
-    fp = np.asarray(f.fp(h), dtype=float)
+    fp = np.asarray(f.d1(h), dtype=float)
     if np.any(fp <= 0.0):
         raise ValueError(f"candidate '{f.name}' is not strictly monotone (f' <= 0)")
-    ratio = np.asarray(f.fpp(h), dtype=float) / fp
+    ratio = np.asarray(f.d2(h), dtype=float) / fp
     lower, upper = admissibility_bounds(phi, h)
     margin = np.minimum(ratio - lower, upper - ratio)
     worst = float(np.min(margin))

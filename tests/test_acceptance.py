@@ -24,7 +24,7 @@ from s3flow.s2curves import (
     sup_subinterval_cyclic,
 )
 from s3flow.speeds import (
-    Candidate1D,
+    Profile,
     admissibility_bounds,
     arctan_speed,
     candidate_affine_arctan,
@@ -61,9 +61,9 @@ def test_criterion_01_admissibility_pinch():
         assert rep.verdict
 
     failures = [
-        Candidate1D(lambda x: x, lambda x: np.ones_like(x), lambda x: np.zeros_like(x), "H"),
-        Candidate1D(lambda x: x ** 3 + x, lambda x: 3 * x * x + 1, lambda x: 6 * x, "H^3+H"),
-        Candidate1D(np.exp, np.exp, np.exp, "e^H"),
+        Profile(lambda x: x, lambda x: np.ones_like(x), lambda x: np.zeros_like(x), "H"),
+        Profile(lambda x: x ** 3 + x, lambda x: 3 * x * x + 1, lambda x: 6 * x, "H^3+H"),
+        Profile(np.exp, np.exp, np.exp, "e^H"),
     ]
     for cand in failures:
         assert not check_admissible(cand, phi_pinch(), grid).verdict
@@ -76,7 +76,7 @@ def test_criterion_01_admissibility_pinch():
 
 def test_criterion_02_z_term_identity():
     t0 = time.perf_counter()
-    f = hg_from_fH(lambda x: 2 * np.arctan(0.5 * x), lambda x: 4.0 / (4.0 + x * x))
+    f = hg_from_fH(candidate_affine_arctan(0.0, 2.0))
     rng = np.random.default_rng(4321)
     k1 = rng.uniform(-3, 3, 50000)
     k2 = rng.uniform(-3, 3, 50000)

@@ -80,6 +80,9 @@ def test_epsilon_star_agrees_with_membership():
     eps = epsilon_star(k1, k2)
     assert np.all(omega_epsilon_member(k1, k2, eps * 0.999))
     assert not np.all(omega_epsilon_member(k1, k2, eps * 1.001))
+    # each point lies inside Omega_eps at its own epsilon_star, to the bit
+    for a, b in zip(k1, k2):
+        assert omega_epsilon_member(a, b, epsilon_star([a], [b]))
 
 
 def test_pinching_report_on_round_sphere():

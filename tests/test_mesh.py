@@ -1,5 +1,7 @@
 import itertools
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -589,6 +591,34 @@ def test_worker_count_capped(monkeypatch):
         assert [part[0] for part in worker.parts[:2]] == [slice(0, 1281), slice(1281, 2562)]
     finally:
         worker.close()
+
+
+# two step workers open at once, in a process of its own: exit 3 where no
+# worker starts
+TWO_WORKERS = """
+import os, sys
+import numpy as np
+from s3flow.mesh import make_geodesic_sphere, step_worker
+os.sched_getaffinity = lambda pid: {0, 1}
+m = make_geodesic_sphere(np.pi / 3, 3)
+first, second = step_worker(m, 2), step_worker(m, 2)
+if first is None or second is None:
+    sys.exit(3)
+first.close()
+second.close()
+"""
+
+
+def test_first_of_two_open_workers_closes():
+    # the second worker, forked while the first is open, must not hold the
+    # first one's command end: the first close() would wait for ever on a
+    # worker whose command pipe never ends
+    src = os.path.dirname(os.path.dirname(mesh_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", TWO_WORKERS], env=env, timeout=30)
+    if proc.returncode == 3:
+        pytest.skip("step_worker started no worker")
+    assert proc.returncode == 0
 
 
 def test_fit_stays_serial_while_another_thread_runs(two_cpus):

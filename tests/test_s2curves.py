@@ -171,8 +171,8 @@ def test_resample_preserves_geometry():
 
 def test_resample_across_a_gap_arccos_reads_as_zero():
     # a gap of 1.02e-8 passes the 1e-8 check, but the cosine of its end
-    # points rounds to 1, so arccos gives omega = 0: the first target lies
-    # on it, and only the small-omega weights keep the sample finite
+    # points rounds to 1, so arccos would give omega = 0: the first target
+    # lies on it, and the angle must come from the gap
     phi = np.concatenate([[0.0, 1.02e-8], 2.0 * np.pi * np.arange(1, 32) / 32])
     c = S2Curve(np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1))
     r = resample_uniform(c)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from s3flow.speeds import (
-    Candidate1D,
+    Profile,
     admissibility_bounds,
     affine_arctan,
     arctan_speed,
@@ -18,9 +18,7 @@ from s3flow.speeds import (
     z_term,
 )
 
-F_ARCTAN_HG = hg_from_fH(
-    lambda h: 2.0 * np.arctan(0.5 * h), lambda h: 4.0 / (4.0 + h * h), "2 arctan(H/2)"
-)
+F_ARCTAN_HG = hg_from_fH(candidate_affine_arctan(0.0, 2.0))  # 2 arctan(H/2)
 
 
 # -- plain speeds --------------------------------------------------------
@@ -102,6 +100,12 @@ def test_make_speed_registry():
     assert make_speed("arctan").name == "arctan"
     s = make_speed("affine_arctan(0.3, 2.5)")
     np.testing.assert_allclose(s.eval(1.0, 1.0), 0.3 + 2.5 * np.arctan(1.0))
+    # the value and partials of the formula, to the bit
+    k1, k2 = 3.0 * np.random.default_rng(4).standard_normal((2, 1000))
+    h = k1 + k2
+    assert np.array_equal(s.eval(k1, k2), 0.3 + 2.5 * np.arctan(0.5 * (k1 + k2)))
+    for d in s.partials(k1, k2):
+        assert np.array_equal(d, 2 * 2.5 / (4 + h * h))
     c = make_speed("custom_fH(H**3 + H)")
     np.testing.assert_allclose(c.eval(1.0, 1.0), 2.0 ** 3 + 2.0)
     with pytest.raises(ValueError):
@@ -112,7 +116,7 @@ def test_custom_fH_finite_difference_partials():
     c = custom_fH("H**2")
     d1, d2 = c.partials(np.array([1.0]), np.array([0.5]))
     np.testing.assert_allclose(d1, 3.0, atol=1e-6)
-    np.testing.assert_allclose(d2, 3.0, atol=1e-6)
+    assert np.array_equal(d1, d2)  # both are f'(H)
 
 
 @pytest.mark.parametrize("expr", ["H**3 + H", "arctan(H/2)"])
@@ -167,7 +171,7 @@ def test_z_umbilic_second_summand_vanishes():
     za, _ = z_term(F_ARCTAN_HG, phi_pinch(), k, k)
     h = 2 * k
     phi = phi_pinch()
-    g1 = -2.0 * phi.phi(h) * phi.dphi(h)
+    g1 = -2.0 * phi.f(h) * phi.d1(h)
     first_only = F_ARCTAN_HG.value(h, None) * g1 * (2.0 + 2.0 * k * k)
     np.testing.assert_allclose(za, first_only, atol=1e-12)
 
@@ -244,9 +248,9 @@ def test_affine_arctan_family_admissible():
 @pytest.mark.parametrize(
     "cand",
     [
-        Candidate1D(lambda h: h, lambda h: np.ones_like(h), lambda h: np.zeros_like(h), "H"),
-        Candidate1D(lambda h: h ** 3 + h, lambda h: 3 * h * h + 1, lambda h: 6 * h, "H^3+H"),
-        Candidate1D(np.exp, np.exp, np.exp, "e^H"),
+        Profile(lambda h: h, lambda h: np.ones_like(h), lambda h: np.zeros_like(h), "H"),
+        Profile(lambda h: h ** 3 + h, lambda h: 3 * h * h + 1, lambda h: 6 * h, "H^3+H"),
+        Profile(np.exp, np.exp, np.exp, "e^H"),
     ],
 )
 def test_non_arctan_speeds_fail(cand):
@@ -258,7 +262,7 @@ def test_non_arctan_speeds_fail(cand):
 
 def test_mcf_fails_at_H_2():
     # ratio 0 sits above the bound -0.5 at H = 2
-    cand = Candidate1D(lambda h: h, lambda h: np.ones_like(h), lambda h: np.zeros_like(h), "H")
+    cand = Profile(lambda h: h, lambda h: np.ones_like(h), lambda h: np.zeros_like(h), "H")
     rep = check_admissible(cand, phi_pinch(), np.array([2.0]))
     assert not rep.verdict
     np.testing.assert_allclose(rep.upper, -0.5, atol=1e-14)
@@ -266,13 +270,13 @@ def test_mcf_fails_at_H_2():
 
 
 def test_candidate_from_callable_finite_differences():
-    cand = Candidate1D.from_callable(lambda h: 2 * np.arctan(0.5 * h), "fd")
+    cand = Profile.from_callable(lambda h: 2 * np.arctan(0.5 * h), "fd")
     rep = check_admissible(cand, phi_pinch(), np.linspace(-5, 5, 101), tol=1e-4)
     assert rep.verdict
 
 
 def test_non_monotone_candidate_rejected():
-    cand = Candidate1D(
+    cand = Profile(
         lambda h: -h, lambda h: -np.ones_like(h), lambda h: np.zeros_like(h), "-H"
     )
     with pytest.raises(ValueError, match="monotone"):
@@ -280,12 +284,12 @@ def test_non_monotone_candidate_rejected():
 
 
 def test_phi_degenerate_warning():
-    from s3flow.speeds import PhiDegenerateWarning, PhiProfile
+    from s3flow.speeds import PhiDegenerateWarning
 
-    steep = PhiProfile(
-        phi=lambda h: np.ones_like(np.asarray(h, dtype=float)),
-        dphi=lambda h: np.ones_like(np.asarray(h, dtype=float)),
-        d2phi=lambda h: np.ones_like(np.asarray(h, dtype=float)),
+    steep = Profile(
+        f=lambda h: np.ones_like(np.asarray(h, dtype=float)),
+        d1=lambda h: np.ones_like(np.asarray(h, dtype=float)),
+        d2=lambda h: np.ones_like(np.asarray(h, dtype=float)),
         name="|phi'|=1",
     )
     with pytest.warns(PhiDegenerateWarning):

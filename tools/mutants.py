@@ -50,6 +50,7 @@ SPEEDS, CURVES = "src/s3flow/speeds.py", "src/s3flow/s2curves.py"
 CORE = "src/s3flow/s3core.py"
 T_CLI, T_FLOW, T_MESH = "tests/test_cli.py", "tests/test_flow.py", "tests/test_mesh.py"
 T_CURVES, T_CORE = "tests/test_s2curves.py", "tests/test_s3core.py"
+T_GOLDEN = "tests/test_golden.py"
 
 MUTANTS = [
     # the flagged-vertex fallback, the step worker and NumericalFailure
@@ -74,6 +75,10 @@ MUTANTS = [
            "            for fd in fds:\n                os.close(fd)\n",
            "            for fd in fds:\n                pass\n",
            (f"{T_FLOW}::test_refused_fork_falls_back_to_the_serial_fit",)),
+    Mutant("a worker closing only its own pipe ends", MESH,
+           "            for fd in self._open | {self.command, self.reply}:\n",
+           "            for fd in {self.command, self.reply}:\n",
+           (f"{T_MESH}::test_first_of_two_open_workers_closes",)),
     Mutant("close without waitpid", MESH,
            "        if self.pid is not None:\n            self.peak_rss_mb = os.wait4(",
            "        if self.pid is None:\n            self.peak_rss_mb = os.wait4(",
@@ -106,12 +111,18 @@ MUTANTS = [
     Mutant("t_in without its minus sign", CURVES,
            "t_in = np.negative(d[1], out=d[1])", "t_in = d[1]",
            (f"{T_CURVES}::test_turning_matches_log_map_reference",)),
-    Mutant("resample's small-omega branch removed", CURVES,
-           "    if small.any():  # arccos of the rounded cosine reads gaps below 1.05e-8 as 0\n"
-           "        w1[small] = 1.0 - frac[small]\n"
-           "        w2[small] = frac[small]\n",
-           "",
+    Mutant("resample's angles from arccos again", CURVES,
+           "    omega = curve.gaps[idx]\n",
+           "    omega = np.arccos(np.clip(np.einsum(\"ij,ij->i\", p[idx], p[(idx + 1) % len(p)]),"
+           " -1.0, 1.0))\n",
            (f"{T_CURVES}::test_resample_across_a_gap_arccos_reads_as_zero",)),
+    Mutant("CSF step x (1 + 1e-7)", CURVES,
+           "    s = psi / ds * dt\n", "    s = psi / ds * dt * (1.0 + 1e-7)\n",
+           (f"{T_GOLDEN}::test_other_scenario_matches_golden",)),
+    Mutant("Weiner sup x (1 + 1e-8)", CURVES,
+           "    sup2 = sup_subinterval_cyclic(k2 * ds2)\n",
+           "    sup2 = sup_subinterval_cyclic(k2 * ds2) * (1.0 + 1e-8)\n",
+           (f"{T_GOLDEN}::test_other_scenario_matches_golden",)),
     Mutant("attribute access allowed in custom_fH", SPEEDS,
            "        raise ValueError(f\"custom_fH: {ast.unparse(node)!r} is not allowed\")",
            "        if isinstance(node, ast.Attribute):\n"
@@ -149,9 +160,15 @@ MUTANTS = [
            "self.peak_rss_mb = os.wait4(self.pid, 0)[2].ru_maxrss / 1024.0",
            "os.wait4(self.pid, 0)",
            (f"{T_FLOW}::test_run_flow_same_on_one_and_two_cpus",)),
+    Mutant("Omega_eps membership by > eps", FLOW,
+           "    return _epsilon(k1, k2) >= eps\n", "    return _epsilon(k1, k2) > eps\n",
+           (f"{T_FLOW}::test_epsilon_star_agrees_with_membership",)),
     Mutant("cadence 0 accepted", FLOW,
            "        if self.cadence < 1:\n", "        if self.cadence < 0:\n",
            (f"{T_FLOW}::test_flow_config_validation",)),
+    Mutant("triangle indices parsed as floats", CLI,
+           'records("t", np.int64)', 'records("t", float)',
+           (f"{T_CLI}::test_raw4_malformed_line_named",)),
     Mutant("repeated spec arg kept", CLI,
            "        if k in out:\n", "        if False:\n",
            (f"{T_CLI}::test_build_surface_and_curve_specs",)),
@@ -185,6 +202,9 @@ MUTANTS = [
            "- set(optional))\n    if unknown and what == \"surface\":\n",
            (f"{T_CLI}::test_build_surface_and_curve_specs",)),
     # norms of short rows and the area from the cached edge lengths
+    Mutant("log_map back on arccos", CORE,
+           "    theta = np.arctan2(dn, c)\n", "    theta = np.arccos(np.clip(c, -1.0, 1.0))\n",
+           (f"{T_CORE}::test_log_map_at_a_small_angle",)),
     Mutant("row_norms summing from column 3", CORE,
            "    for k in range(2, v.shape[-1]):", "    for k in range(3, v.shape[-1]):",
            (f"{T_CORE}::test_row_norms_bit_identical_to_linalg_norm",)),

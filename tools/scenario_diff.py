@@ -9,8 +9,10 @@ every scenario of ``examples.cfg`` from both trees as
     PYTHONPATH=<tree>/src python -m s3flow.cli run examples.cfg <name> --output-dir DIR
 
 and compares the files they write.  Prints each file that is missing on
-one side or differs, with the largest relative difference between the
-numbers in it, and a count of the files compared.  Exits 0 only when both
+one side or differs, with the largest share of the goldens' tolerance that
+a pair of its numbers uses, |x - y| / (1e-12 + 1e-9 max(|x|, |y|)) (above
+1 the pair would fail ``tests/test_golden.py``), and a count of the files
+compared.  Exits 0 only when both
 trees write the same files with the same bytes.  The temporary directory
 is removed afterwards.
 
@@ -59,10 +61,13 @@ def files_under(top):
                   for d, _, fs in os.walk(top) for f in fs)
 
 
-def largest_relative_difference(a, b):
-    """(r, x, y): the largest r = |x - y| / max(|x|, |y|) over the pairs of
-    numbers x, y of two texts that have the same words around their
-    numbers, else None."""
+ATOL, RTOL = 1e-12, 1e-9  # the tolerances of tests/test_golden.py
+
+
+def largest_tolerance_share(a, b):
+    """(s, x, y): the largest s = |x - y| / (ATOL + RTOL max(|x|, |y|)) over
+    the pairs of numbers x, y of two texts that have the same words around
+    their numbers, else None."""
     na, nb = NUMBER.findall(a), NUMBER.findall(b)
     if NUMBER.sub("#", a) != NUMBER.sub("#", b) or len(na) != len(nb):
         return None
@@ -71,7 +76,8 @@ def largest_relative_difference(a, b):
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
         scale = max(abs(x), abs(y))
-        worst = max(worst, (abs(x - y) / scale if math.isfinite(scale) else math.inf, x, y))
+        share = abs(x - y) / (ATOL + RTOL * scale) if math.isfinite(scale) else math.inf
+        worst = max(worst, (share, x, y))
     return worst
 
 
@@ -91,11 +97,11 @@ def compare(old, new):
         if a == b:
             continue
         differ += 1
-        worst = largest_relative_difference(a.decode(), b.decode())
+        worst = largest_tolerance_share(a.decode(), b.decode())
         if worst is None:
             print(f"{rel}: differs in text, not only in numbers")
         else:
-            print(f"{rel}: largest relative difference {worst[0]:.3e} "
+            print(f"{rel}: uses {worst[0]:.3e} of the golden tolerance "
                   f"({worst[1]!r} against {worst[2]!r})")
     print(f"{len(set(old_files) | set(new_files))} files compared, {differ} differ")
     return differ
