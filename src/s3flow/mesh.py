@@ -35,7 +35,6 @@ from .s3core import (  # noqa: F401
     log_map,
     log_scale,
     normalize,
-    orthonormal_tangent_basis,
     quat_conj,
     quat_mul,
     row_norms,
@@ -43,6 +42,7 @@ from .s3core import (  # noqa: F401
     unit_deviation,
     QUAT_I,
     QUAT_J,
+    QUAT_K,
     QUAT_ONE,
 )
 
@@ -416,10 +416,13 @@ def _oriented(vertices, triangles, normals):
 
 def _sphere(r, level, center, bump=lambda dirs: 0.0):
     """Vertices, triangles and unit normals of the icosphere at ``level``
-    carried into S3: its direction u, a tangent at ``center``, goes to the
-    point at geodesic distance r + bump(u) from the center, and the normal
-    there points away from the center along the great circle.  The
-    triangles are wound to agree with the normals."""
+    carried into S3: its direction u goes to the unit tangent c u at the
+    center c (u read as an imaginary quaternion, so the frame is c i, c j,
+    c k), and on to the point at geodesic distance r + bump(u) from the
+    center, where the normal points away from the center along the great
+    circle.  So the sphere about c is c times the sphere about 1, whose
+    frame is exactly i, j, k.  The triangles are wound to agree with the
+    normals."""
     if not (0.0 < r < np.pi):
         raise ValueError(f"geodesic radius must lie in (0, pi), got {r}")
     if level < 0:
@@ -429,7 +432,7 @@ def _sphere(r, level, center, bump=lambda dirs: 0.0):
     radius = np.reshape(r + bump(dirs), (-1, 1))
     if radius.min() <= 0.0 or radius.max() >= np.pi:
         raise ValueError("perturbation pushes the radius outside (0, pi)")
-    u = dirs @ orthonormal_tangent_basis(center)  # (n, 4) unit tangents at center
+    u = dirs @ quat_mul(center, np.stack([QUAT_I, QUAT_J, QUAT_K]))  # (n, 4) unit tangents at c
     verts = normalize(np.cos(radius) * center + np.sin(radius) * u)
     nrm = normalize(tangent_project(verts, -np.sin(radius) * center + np.cos(radius) * u))
     return verts, _oriented(verts, tris, nrm), nrm
@@ -501,39 +504,48 @@ def make_clifford_torus(nu, nv):
     return SurfaceMesh(verts, tris, normals=nrm, grid_shape=(nu, nv))
 
 
-def _rotation(a, b):
-    """The conjugate of the unit quaternion that turns the unit 3-vector a
-    into b about a x b, so that q times it lifts b where q lifts a (under
-    hopf_project).  1 where a x b or the angle vanishes; where b = -a, the
-    turn by pi about j, which carries i into -i."""
-    axis = np.cross(a, b)
-    an = np.linalg.norm(axis)
-    d = float(np.dot(a, b))
-    if an < 1e-15 and d < 0.0:
-        return QUAT_J.copy()
-    t = np.arccos(np.clip(d, -1.0, 1.0))
-    if an < 1e-15 or t < 1e-15:
-        return QUAT_ONE.copy()
-    return quat_conj(np.concatenate([[np.cos(0.5 * t)], np.sin(0.5 * t) * (axis / an)]))
+def _turns(a, b):
+    """The conjugates of the unit quaternions that turn each row of a (unit
+    3-vectors) into the row of b about a x b, so that q times one lifts b
+    where q lifts a (under hopf_project).  The turn in half-angle form is
+    normalize(1 + a.b, a x b), accurate at every angle, and its conjugate
+    normalize(1 + a.b, b x a); where b = -a, the turn by pi about j, which
+    carries i into -i."""
+    h = np.concatenate([1.0 + np.sum(a * b, axis=1, keepdims=True), np.cross(b, a)], axis=1)
+    h[row_norms(h) == 0.0] = QUAT_J
+    return normalize(h)
+
+
+def _fiber_turns(phase):
+    """cos(phase) + i sin(phase), which move a point along its Hopf fiber."""
+    zero = np.zeros_like(phase)
+    return np.stack([np.cos(phase), np.sin(phase), zero, zero], axis=-1)
 
 
 def make_hopf_torus(curve, n_fiber):
     """Hopf-fiber torus over the closed :class:`S2Curve` ``curve``.
 
     For each curve sample the full Hopf fiber circle is sampled ``n_fiber``
-    times; the lift is chosen continuously along the curve and the fiber
-    phase is sheared to absorb the lift holonomy so the seam closes.
-    The preimage of any curve is intrinsically flat (G = 0).
+    times.  The lift is chosen continuously along the curve, one half-angle
+    turn per segment (the first from i to the first sample), and the fiber
+    phase is sheared to absorb the lift holonomy so the seam closes.  The
+    normal at a vertex x over the sample p is x T, with T the unit tangent
+    of the curve at p (the central difference of its neighbours, projected
+    off p): x T is orthogonal to x, to the fiber direction i x = x p and
+    to the horizontal lift of the curve.  The preimage of any curve is
+    intrinsically flat (G = 0).
     """
     if n_fiber < 8:
         raise ValueError("need n_fiber >= 8")
     samples = curve.samples
     n_curve = len(samples)
 
-    lifts = np.empty((n_curve + 1, 4))
-    lifts[0] = _rotation(QUAT_I[1:], samples[0])
+    # the turns from i to sample 0 and along each segment, multiplied up in
+    # place: lifts[k] lifts sample k, and lifts[n_curve] sample 0 again
+    lifts = _turns(np.concatenate([QUAT_I[None, 1:], samples]),
+                   np.concatenate([samples, samples[:1]]))
     for k in range(n_curve):
-        lifts[k + 1] = quat_mul(lifts[k], _rotation(samples[k], samples[(k + 1) % n_curve]))
+        lifts[k + 1] = quat_mul(lifts[k], lifts[k + 1])
 
     h = quat_mul(lifts[n_curve], quat_conj(lifts[0]))
     off_fiber = float(np.hypot(h[2], h[3]))
@@ -545,24 +557,16 @@ def make_hopf_torus(curve, n_fiber):
     holonomy = float(np.arctan2(h[1], h[0]))
 
     frac = np.concatenate([[0.0], np.cumsum(curve.gaps)]) / np.sum(curve.gaps)
-    phase = -holonomy * frac[:n_curve]
-    tw = np.stack(
-        [np.cos(phase), np.sin(phase), np.zeros(n_curve), np.zeros(n_curve)], axis=-1
-    )
-    q = quat_mul(tw, lifts[:n_curve])  # (n_curve, 4), seam now closes
+    q = quat_mul(_fiber_turns(-holonomy * frac[:n_curve]), lifts[:n_curve])  # seam closes
 
     theta = 2.0 * np.pi * np.arange(n_fiber) / n_fiber
-    rot = np.stack(
-        [np.cos(theta), np.sin(theta), np.zeros(n_fiber), np.zeros(n_fiber)], axis=-1
-    )
-    verts = quat_mul(rot[None, :, :], q[:, None, :]).reshape(-1, 4)
-    verts = normalize(verts)
+    verts = normalize(quat_mul(_fiber_turns(theta)[None, :, :], q[:, None, :]))
 
-    grid = verts.reshape(n_curve, n_fiber, 4)
-    t_fib = quat_mul(QUAT_I, grid)
-    t_base = np.roll(grid, -1, axis=0) - np.roll(grid, 1, axis=0)
-    t_base = normalize(tangent_project(t_fib, tangent_project(grid, t_base)))
-    nrm = normalize(cross4(grid, t_fib, t_base)).reshape(-1, 4)
+    d = np.roll(samples, -1, axis=0) - np.roll(samples, 1, axis=0)
+    tangent = np.zeros((n_curve, 4))
+    tangent[:, 1:] = normalize(d - np.sum(d * samples, axis=1, keepdims=True) * samples)
+    nrm = quat_mul(verts, tangent[:, None, :]).reshape(-1, 4)
+    verts = verts.reshape(-1, 4)
 
     tris = _oriented(verts, _grid_torus_triangles(n_curve, n_fiber), nrm)
     return SurfaceMesh(verts, tris, normals=nrm, grid_shape=(n_curve, n_fiber))
@@ -592,14 +596,12 @@ class CurvatureData:
     H: np.ndarray = field(init=False)
     normA2: np.ndarray = field(init=False)
     G: np.ndarray = field(init=False)
-    flagged: np.ndarray = None
+    flagged: np.ndarray
 
     def __post_init__(self):
         self.H = self.kappa1 + self.kappa2
         self.normA2 = self.kappa1 ** 2 + self.kappa2 ** 2
         self.G = 1.0 + self.kappa1 * self.kappa2
-        if self.flagged is None:
-            self.flagged = np.zeros(len(self.kappa1), dtype=bool)
 
     @property
     def n_flagged(self):

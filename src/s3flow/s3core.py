@@ -194,21 +194,3 @@ def cross4(a, b, c):
     d2 = -(a0 * m13 - a1 * m03 + a3 * m01)
     d3 = a0 * m12 - a1 * m02 + a2 * m01
     return np.stack([d0, d1, d2, d3], axis=-1)
-
-
-def orthonormal_tangent_basis(c):
-    """Deterministic orthonormal basis (e1, e2, e3) of the tangent space at c."""
-    c = np.asarray(c, dtype=float)
-    basis = []
-    for k in range(4):
-        seed = np.zeros(4)
-        seed[k] = 1.0
-        v = seed - np.dot(seed, c) * c
-        for e in basis:
-            v = v - np.dot(v, e) * e
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            basis.append(v / n)
-        if len(basis) == 3:
-            break
-    return np.array(basis)

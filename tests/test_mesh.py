@@ -25,8 +25,8 @@ from s3flow.mesh import (
     step_worker,
     validate_topology,
 )
-from s3flow.s2curves import make_great_circle, make_latitude_circle
-from s3flow.s3core import geodesic_distance, log_map, normalize
+from s3flow.s2curves import S2Curve, make_great_circle, make_latitude_circle
+from s3flow.s3core import geodesic_distance, hopf_project, log_map, normalize, quat_mul
 
 
 def cot(r):
@@ -65,6 +65,23 @@ def test_geodesic_sphere_invariants():
     c = center / np.linalg.norm(center)
     r = np.arccos(np.clip(m.vertices @ c, -1, 1))
     np.testing.assert_allclose(r, 0.9, atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.9, np.pi / 2, 2.5])
+def test_sphere_about_c_is_c_times_the_sphere_about_1(r):
+    # about 1 the direction u of the icosphere goes to cos r + u sin r; about
+    # c every vertex and normal is c times that sphere's, on the same triangles
+    rng = np.random.default_rng(int(100 * r))
+    one = make_geodesic_sphere(r, 3)
+    dirs, _ = _icosphere(3)
+    np.testing.assert_allclose(one.vertices[:, 0], np.cos(r), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(one.vertices[:, 1:], np.sin(r) * dirs, rtol=0, atol=1e-15)
+    for _ in range(3):
+        c = normalize(rng.standard_normal(4))
+        m = make_geodesic_sphere(r, 3, center=c)
+        assert np.array_equal(m.triangles, one.triangles)
+        np.testing.assert_allclose(m.vertices, quat_mul(c, one.vertices), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(m.normals, quat_mul(c, one.normals), rtol=0, atol=1e-14)
 
 
 def test_great_sphere_is_flat_to_machine_precision():
@@ -134,6 +151,41 @@ def test_hopf_torus_latitude_flat():
 def test_hopf_torus_fiber_minimum():
     with pytest.raises(ValueError):
         make_hopf_torus(make_latitude_circle(1.0, 96), 7)
+
+
+def _latitude_with_a_small_gap():
+    # 33 samples of the circle at colatitude 1 and one more, 3e-8 rad along
+    # it after sample 5: an arccos of the rounded dot product there loses
+    # half its digits
+    theta = 1.0
+    phi = 2.0 * np.pi * np.arange(33) / 33
+    phi = np.insert(phi, 6, phi[5] + 3e-8 / np.sin(theta))
+    return S2Curve(np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                             np.full(34, np.cos(theta))], axis=-1))
+
+
+@pytest.mark.parametrize("make_curve", [
+    _latitude_with_a_small_gap,
+    # first sample -i: the first turn of the lift is the turn by pi about j
+    lambda: S2Curve(-make_great_circle(n=96).samples),
+], ids=["small-gap", "antipodal-start"])
+def test_hopf_torus_lies_on_the_fibres_of_its_curve(make_curve):
+    curve = make_curve()
+    m = make_hopf_torus(curve, 16)
+    p = hopf_project(m.vertices).reshape(len(curve), 16, 3)
+    assert np.max(np.abs(p - curve.samples[:, None, :])) <= 1e-14
+
+
+def test_hopf_torus_normals_are_x_times_the_curve_tangent():
+    # over a latitude circle the unit tangent at longitude phi is
+    # (-sin phi, cos phi, 0), and the normal at x over it is x times that
+    curve = make_latitude_circle(0.9, 48)
+    m = make_hopf_torus(curve, 32)
+    phi = 2.0 * np.pi * np.arange(48) / 48
+    t = np.stack([np.zeros(48), -np.sin(phi), np.cos(phi), np.zeros(48)], axis=-1)
+    x = m.vertices.reshape(48, 32, 4)
+    np.testing.assert_allclose(m.normals, quat_mul(x, t[:, None, :]).reshape(-1, 4),
+                               rtol=0, atol=1e-14)
 
 
 def test_orientation_covariance():

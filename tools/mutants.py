@@ -234,6 +234,25 @@ MUTANTS = [
     Mutant("sphere builder's level check dropped", MESH,
            '    if level < 0:\n        raise ValueError("subdivision level must be >= 0")\n', "",
            (f"{T_MESH}::test_sphere_level_must_be_non_negative",)),
+    # the test surfaces from the quaternion product
+    Mutant("Hopf turns from an arccos angle again", MESH,
+           "    h = np.concatenate([1.0 + np.sum(a * b, axis=1, keepdims=True), "
+           "np.cross(b, a)], axis=1)\n",
+           "    t = np.arccos(np.clip(np.sum(a * b, axis=1, keepdims=True), -1.0, 1.0))\n"
+           "    axis = np.cross(b, a)\n"
+           "    axis = axis / np.maximum(row_norms(axis, keepdims=True), 1e-300)\n"
+           "    h = np.concatenate([np.cos(0.5 * t), np.sin(0.5 * t) * axis], axis=1)\n",
+           (f"{T_MESH}::test_hopf_torus_lies_on_the_fibres_of_its_curve[small-gap]",)),
+    Mutant("the pi-turn 1, not j", MESH,
+           "    h[row_norms(h) == 0.0] = QUAT_J\n", "    h[row_norms(h) == 0.0] = QUAT_ONE\n",
+           (f"{T_MESH}::test_hopf_torus_lies_on_the_fibres_of_its_curve[antipodal-start]",)),
+    Mutant("the sphere's frame c j, c i, c k", MESH,
+           "np.stack([QUAT_I, QUAT_J, QUAT_K])", "np.stack([QUAT_J, QUAT_I, QUAT_K])",
+           (f"{T_MESH}::test_sphere_about_c_is_c_times_the_sphere_about_1",)),
+    Mutant("smoothing weight x (1 + 1e-7)", MESH,
+           "    s = strength * np.sqrt(", "    s = strength * (1.0 + 1e-7) * np.sqrt(",
+           (f"{T_GOLDEN}::test_flow_scenario_matches_golden[sphere-mcf-shrink]",
+            f"{T_GOLDEN}::test_flow_scenario_matches_golden[perturbed-sphere-theorem1]")),
 ]
 
 
