@@ -19,8 +19,8 @@ healthy outcomes (Converged / Extinct / TimeExhausted), 2 for
 ConditionBreached, 3 for MeshDegenerate, 4 for NumericalFailure (a NaN
 or infinity in the vertices, curvature, speed or step), 1 for usage or
 config errors.  Exits 3 and 4 print why the run stopped to stderr.
-Curve scenarios reuse the same trajectory header with max_speed the
-largest |kappa_g| and area the curve length.
+Curve scenarios reuse the trajectory header (max_speed the largest
+|kappa_g|, area the curve length), the stop reasons and the exit statuses.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class Scenario:
     curves: str = None
     speed: str = "arctan"
     t_end: float = 0.1
-    dt: float = FlowConfig.dt
     sigma: float = FlowConfig.sigma
     dt_max: float = FlowConfig.dt_max
     speed_tol: float = FlowConfig.speed_tol
@@ -78,12 +77,10 @@ class Scenario:
     perturbation: float = 0.0
     seed: int = None
     exports: tuple = ()
-    resample: bool = True
     length_tol: float = 0.05
 
 
 _READ = {str: str.strip, int: int, float: float,
-         bool: lambda raw: raw.strip().lower() in ("1", "true", "yes", "on"),
          tuple: lambda raw: tuple(t.strip() for t in raw.split(",") if t.strip())}
 # config key -> reader of its text
 _KEYS = {key: _READ[kind] for key, kind in get_type_hints(Scenario).items() if key != "name"}
@@ -343,6 +340,21 @@ def _write_fields(path, **values):
             fh.write(f"{key}: {_FLOAT % value if isinstance(value, float) else value}\n")
 
 
+# the exit status of a flow or curve run by its stop reason
+_EXIT_STATUS = {
+    StopReason.CONVERGED: 0, StopReason.EXTINCT: 0, StopReason.TIME_EXHAUSTED: 0,
+    StopReason.CONDITION_BREACHED: 2, StopReason.MESH_DEGENERATE: 3,
+    StopReason.NUMERICAL_FAILURE: 4,
+}
+
+
+def _exit_status(sc: Scenario, result):
+    """The exit status of a flow or curve run; prints its ``detail`` to stderr."""
+    if result.detail is not None:
+        print(f"{sc.name}: {result.reason.value}: {result.detail}", file=sys.stderr)
+    return _EXIT_STATUS[result.reason]
+
+
 def _run_flow_scenario(sc: Scenario, outdir):
     mesh0 = build_surface(sc.surface, sc.perturbation, sc.seed)
     config = FlowConfig(**{
@@ -369,29 +381,22 @@ def _run_flow_scenario(sc: Scenario, outdir):
                   stop_reason=result.reason.value, t_final=result.final.t,
                   steps=result.final.step_index, min_G=final.min_G, max_A2=final.max_normA2,
                   max_speed=final.max_abs_speed, area=final.area, epsilon_star=final.epsilon_star)
-    if result.detail is not None:
-        print(f"{sc.name}: {result.reason.value}: {result.detail}", file=sys.stderr)
-    return {
-        StopReason.CONVERGED: 0, StopReason.EXTINCT: 0, StopReason.TIME_EXHAUSTED: 0,
-        StopReason.CONDITION_BREACHED: 2, StopReason.MESH_DEGENERATE: 3,
-        StopReason.NUMERICAL_FAILURE: 4,
-    }[result.reason]
+    return _exit_status(sc, result)
 
 
 def _run_csf_scenario(sc: Scenario, outdir):
     curve = build_curve(sc.curve)
-    res = curvemod.run_csf(curve, sc.t_end, dt=sc.dt, sigma=sc.sigma,
-                           resample=sc.resample, cadence=max(sc.cadence, 1),
+    res = curvemod.run_csf(curve, sc.t_end, sigma=sc.sigma, cadence=max(sc.cadence, 1),
                            length_tol=sc.length_tol)
     _write_trajectory(os.path.join(outdir, "trajectory.csv"), _CURVE_ROW,
                       np.stack([res.times, res.lengths], axis=1))
     k_final, _ = curvemod.geodesic_curvature(res.final)
-    _write_fields(os.path.join(outdir, "summary"), scenario=sc.name, stop_reason=res.status,
+    _write_fields(os.path.join(outdir, "summary"), scenario=sc.name, stop_reason=res.reason.value,
                   t_final=res.times[-1], length_final=res.lengths[-1],
                   max_kappa_g=float(np.max(np.abs(k_final))))
     for i, cur in enumerate(res.curves):
         curvemod.save_curve_csv(cur, os.path.join(outdir, f"curve_{i:05d}.csv"))
-    return 0
+    return _exit_status(sc, res)
 
 
 def _run_weiner_scenario(sc: Scenario, outdir):
@@ -414,7 +419,7 @@ def _run_weiner_scenario(sc: Scenario, outdir):
 _RUNNERS = {"flow": _run_flow_scenario, "csf": _run_csf_scenario, "weiner": _run_weiner_scenario}
 
 
-def run_scenario(config_path, scenario_name, output_dir=None, cadence=None):
+def run_scenario(config_path, scenario_name, output_dir=None):
     """Execute one scenario; returns the process exit status."""
     scenarios = parse_config(config_path)
     if scenario_name not in scenarios:
@@ -423,8 +428,6 @@ def run_scenario(config_path, scenario_name, output_dir=None, cadence=None):
             f"(available: {', '.join(sorted(scenarios)) or 'none'})"
         )
     sc = scenarios[scenario_name]
-    if cadence is not None:
-        sc.cadence = cadence
     root = output_dir or os.environ.get(OUTPUT_ROOT_ENV, ".")
     outdir = os.path.join(root, sc.name)
     os.makedirs(outdir, exist_ok=True)
@@ -444,15 +447,20 @@ def _release_heap():
     11.7 of a 17 MB heap was free and held.  Which block ends up on top
     changes with the order of allocations, so the memory a process held
     after a scenario varied by some 10 MB with the directory it ran from.
-    ``malloc_trim`` is glibc's; elsewhere this does nothing.
+    ``malloc_trim`` is glibc's, resolved once: each ``ctypes.CDLL`` and its
+    own function-pointer class form a reference cycle.  Elsewhere this does
+    nothing.
     """
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):  # not glibc
-        return
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    trim(0)
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+    _MALLOC_TRIM.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):  # not glibc
+    _MALLOC_TRIM = None
 
 
 def list_scenarios(config_path):
@@ -476,7 +484,6 @@ def main(argv=None):
     p_run.add_argument("config")
     p_run.add_argument("scenario")
     p_run.add_argument("--output-dir", default=None)
-    p_run.add_argument("--cadence", type=int, default=None)
 
     p_list = sub.add_parser("list", help="list scenarios in a config file")
     p_list.add_argument("config")
@@ -489,8 +496,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.verb == "run":
-            return run_scenario(args.config, args.scenario,
-                                output_dir=args.output_dir, cadence=args.cadence)
+            return run_scenario(args.config, args.scenario, output_dir=args.output_dir)
         if args.verb == "list":
             for name, desc in list_scenarios(args.config):
                 print(f"{name}: {desc}" if desc else name)

@@ -47,11 +47,11 @@ class StopReason(enum.Enum):
 
 @dataclass
 class FlowConfig:
-    """Run parameters; ``dt`` fixes the step, otherwise CFL with factor sigma."""
+    """Run parameters; every step is the parabolic CFL bound with factor
+    sigma, capped at dt_max (see :func:`cfl_dt`)."""
 
     speed: SpeedFunction
     t_end: float
-    dt: float = None
     sigma: float = 0.25
     dt_max: float = 1e-2
     speed_tol: float = 1e-6
@@ -69,8 +69,6 @@ class FlowConfig:
         for name in ("speed_tol", "width_tol", "g_floor"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("fixed dt must be positive")
         if self.cadence < 1:
             raise ValueError("cadence must be at least 1")
 
@@ -158,8 +156,6 @@ LAMBDA_FLOOR = 1e-8  # lower bound on lambda_max in cfl_dt, for speeds flat in c
 def cfl_dt(mesh: SurfaceMesh, curvature: CurvatureData, speed: SpeedFunction,
            sigma, dt_max=1e-2):
     """Parabolic step bound sigma * h_min^2 / lambda_max, capped at dt_max."""
-    if not (0.0 < sigma <= 1.0):
-        raise ValueError("sigma must lie in (0, 1]")
     h_min = float(np.min(mesh.edge_lengths()))
     d1, d2 = speed.partials(curvature.kappa1, curvature.kappa2)
     lam = float(np.max(np.abs(d1) + np.abs(d2)))
@@ -274,18 +270,11 @@ def _run(mesh0, config, worker):
             if float(np.max(np.abs(f))) < config.speed_tol:
                 reason = StopReason.CONVERGED
                 break
-            if state.t >= config.t_end - 1e-14:
+            if state.t >= config.t_end - 1e-14 or state.step_index >= config.max_steps:
                 reason = StopReason.TIME_EXHAUSTED
                 break
-            if state.step_index >= config.max_steps:
-                reason = StopReason.TIME_EXHAUSTED
-                break
-            if config.dt is not None:
-                dt = config.dt
-            else:
-                dt = cfl_dt(state.mesh, state.curvature, config.speed,
-                            config.sigma, config.dt_max)
-            dt = min(dt, config.t_end - state.t)
+            dt = min(cfl_dt(state.mesh, state.curvature, config.speed,
+                            config.sigma, config.dt_max), config.t_end - state.t)
             _check_finite(state.step_index, dt=dt)
             state = flow_step(state, config.speed, dt, smoothing=config.smoothing,
                               fit_order=config.fit_order, worker=worker, speed_values=f)

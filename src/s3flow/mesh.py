@@ -449,8 +449,8 @@ def make_geodesic_sphere(r, level, center=None):
     return SurfaceMesh(verts, tris, normals=nrm)
 
 
-def make_perturbed_sphere(r, level, amplitude, seed, center=None):
-    """Geodesic sphere with a smooth seeded radial perturbation.
+def make_perturbed_sphere(r, level, amplitude, seed):
+    """Geodesic sphere about 1 with a smooth seeded radial perturbation.
 
     The radius field is r + amplitude * g(u) where g is a random low-order
     polynomial (linear plus quadratic form) in the unit direction u,
@@ -469,7 +469,7 @@ def make_perturbed_sphere(r, level, amplitude, seed, center=None):
         peak = np.max(np.abs(g))
         return amplitude * (g / peak if peak > 0.0 else g)
 
-    verts, tris, _ = _sphere(r, level, center, bump)
+    verts, tris, _ = _sphere(r, level, None, bump)
     return SurfaceMesh(verts, tris)
 
 

@@ -15,11 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flow import StopReason
 from .s3core import normalize
 
 CSF_MAX_STEPS = 500_000  # steps after which run_csf stops
 WEINER_TOTAL_TOL = 0.05  # largest |total geodesic curvature| that weiner_check passes
 HAUSDORFF_SAMPLES = 512  # samples of each curve in hausdorff_distance
+
+
+class CurveCollapseError(ValueError):
+    """A segment of the curve shrank to nothing: the curve is vanishing."""
 
 
 class S2Curve:
@@ -44,7 +49,7 @@ class S2Curve:
         half = 0.5 * np.sqrt(np.einsum("ij,ij->i", chord, chord))
         gaps = 2.0 * np.arcsin(np.minimum(half, 1.0, out=half), out=half)
         if not gaps.min() >= 1e-8:
-            raise ValueError(f"degenerate segment of length {gaps.min():.3e}")
+            raise CurveCollapseError(f"degenerate segment of length {gaps.min():.3e}")
         if not gaps.max() <= 0.5:
             raise ValueError(f"segment too long ({gaps.max():.3f} rad > 0.5)")
         self.samples = s
@@ -98,8 +103,6 @@ def make_latitude_circle(theta, n):
     """Uniformly sampled circle at colatitude theta from the pole (0, 0, 1)."""
     if not (0.0 < theta < np.pi):
         raise ValueError("colatitude must lie in (0, pi)")
-    if n < 8:
-        raise ValueError("need n >= 8")
     phi = 2.0 * np.pi * np.arange(n) / n
     st, ct = np.sin(theta), np.cos(theta)
     return S2Curve(np.stack([st * np.cos(phi), st * np.sin(phi), np.full(n, ct)], axis=-1))
@@ -107,8 +110,6 @@ def make_latitude_circle(theta, n):
 
 def make_great_circle(axis=(0.0, 0.0, 1.0), n=128):
     """Uniformly sampled great circle in the plane orthogonal to ``axis``."""
-    if n < 8:
-        raise ValueError("need n >= 8")
     a = normalize(np.asarray(axis, dtype=float))
     seed = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = normalize(seed - np.dot(seed, a) * a)
@@ -146,7 +147,7 @@ def _turning(p):
     dn = np.sqrt(np.einsum("kij,kij->ki", d, d))
     theta = np.arctan2(dn, c)
     if theta.min() < 1e-12:
-        raise ValueError("degenerate segment in curve")
+        raise CurveCollapseError("degenerate segment in curve")
     d /= dn[:, :, None]
     t_out = d[0]
     t_in = np.negative(d[1], out=d[1])
@@ -194,9 +195,9 @@ def resample_uniform(curve: S2Curve, n=None) -> S2Curve:
     return S2Curve(out)
 
 
-def csf_step(curve: S2Curve, dt, resample=True) -> S2Curve:
+def csf_step(curve: S2Curve, dt) -> S2Curve:
     """One curve-shortening step: each sample moves along the curvature
-    vector direction by arclength kappa_g * dt."""
+    vector direction by arclength kappa_g * dt (not resampled)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     p = curve.samples
@@ -214,8 +215,7 @@ def csf_step(curve: S2Curve, dt, resample=True) -> S2Curve:
     moved = np.cos(s)[:, None] * p
     moved += np.sin(s)[:, None] * _cross(p, t_mid)
     moved /= np.sqrt(np.einsum("ij,ij->i", moved, moved))[:, None]
-    out = S2Curve(moved)
-    return resample_uniform(out) if resample else out
+    return S2Curve(moved)
 
 
 @dataclass
@@ -225,15 +225,16 @@ class CsfResult:
     curves: list           # sampled at the cadence, plus the final curve
     curve_times: np.ndarray
     final: S2Curve
-    status: str            # TimeExhausted | Extinct
+    reason: StopReason     # TimeExhausted, Extinct or NumericalFailure
+    detail: str = None     # why a NumericalFailure run stopped
 
 
-def run_csf(curve: S2Curve, t_end, dt=None, sigma=0.25, resample=True,
-            cadence=10, length_tol=0.05) -> CsfResult:
+def run_csf(curve: S2Curve, t_end, sigma=0.25, cadence=10, length_tol=0.05) -> CsfResult:
     """Run curve shortening until t_end or until the curve nearly vanishes.
 
-    The step obeys the parabolic bound dt <= sigma * (min ds)^2 and is
-    recomputed each step; arclength resampling is on by default.
+    Each step obeys the parabolic bound dt <= sigma * (min ds)^2, and then
+    the curve is resampled.  A collapse stops the run as Extinct; any other
+    invalid curve, such as a NaN sample, as NumericalFailure, with ``detail``.
     """
     t = 0.0
     cur = curve
@@ -241,18 +242,20 @@ def run_csf(curve: S2Curve, t_end, dt=None, sigma=0.25, resample=True,
     lengths = [cur.length()]
     curves = [cur]
     curve_times = [0.0]
-    status = "TimeExhausted"
+    reason, detail = StopReason.TIME_EXHAUSTED, None
     step = 0
     while t < t_end - 1e-14 and step < CSF_MAX_STEPS:
         if lengths[-1] < length_tol:
-            status = "Extinct"
+            reason = StopReason.EXTINCT
             break
-        bound = sigma * float(cur.gaps.min()) ** 2
-        step_dt = min(bound if dt is None else min(dt, bound), t_end - t)
+        step_dt = min(sigma * float(cur.gaps.min()) ** 2, t_end - t)
         try:
-            cur = csf_step(cur, step_dt, resample=resample)
-        except ValueError:
-            status = "Extinct"
+            cur = resample_uniform(csf_step(cur, step_dt))
+        except CurveCollapseError:
+            reason = StopReason.EXTINCT
+            break
+        except ValueError as exc:
+            reason, detail = StopReason.NUMERICAL_FAILURE, f"{exc} at step {step + 1}"
             break
         t += step_dt
         step += 1
@@ -270,7 +273,8 @@ def run_csf(curve: S2Curve, t_end, dt=None, sigma=0.25, resample=True,
         curves=curves,
         curve_times=np.array(curve_times),
         final=cur,
-        status=status,
+        reason=reason,
+        detail=detail,
     )
 
 

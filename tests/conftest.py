@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from s3flow import s2curves
 from s3flow.cli import list_scenarios, run_scenario
 from s3flow.flow import FlowConfig, run_flow, sphere_ode_oracle
 from s3flow.mesh import (
@@ -28,6 +29,22 @@ BUNDLED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 def mean_radius(mesh, center=CENTER):
     return float(np.mean(np.arccos(np.clip(mesh.vertices @ center, -1.0, 1.0))))
+
+
+@pytest.fixture
+def nan_on_third_curve_step(monkeypatch):
+    """Make the third curve-shortening step move one sample to NaN."""
+    turns = []
+    turning = s2curves._turning
+
+    def nan_on_third(p):
+        turns.append(p)
+        psi, ds, t_in, t_out = turning(p)
+        if len(turns) == 3:
+            psi[5] = np.nan
+        return psi, ds, t_in, t_out
+
+    monkeypatch.setattr(s2curves, "_turning", nan_on_third)
 
 
 @pytest.fixture(scope="session")

@@ -56,11 +56,18 @@ def test_malformed_config_diagnostic(tmp_path):
     assert main(["list", str(p)]) == 1
 
 
-def test_unknown_key_rejected(tmp_path):
+def test_unknown_key_rejected(tmp_path, capsys):
+    # neither dt (a fixed step) nor resample (a curve run without
+    # resampling) is a key: every step is the CFL bound, every curve step
+    # resamples
     p = tmp_path / "bad.cfg"
-    p.write_text("[s]\nkind = flow\nsurface = clifford nu=8 nv=8\nwhatever = 3\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config(str(p))
+    for line in ("whatever = 3", "dt = 1e-3", "resample = no"):
+        p.write_text(f"[s]\nkind = flow\nsurface = clifford nu=8 nv=8\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'$"):
+            parse_config(str(p))
+        assert main(["run", str(p), "s", "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: [s] unknown key '{key}'\n"
 
 
 def test_perturbation_requires_seed(tmp_path):
@@ -122,7 +129,7 @@ class Reached(Exception):
 
 # one value per key that a flow scenario hands to FlowConfig, none the default
 FLOW_VALUES = {
-    "t_end": 0.02, "dt": 1e-3, "sigma": 0.5, "dt_max": 2e-3, "speed_tol": 1e-7,
+    "t_end": 0.02, "sigma": 0.5, "dt_max": 2e-3, "speed_tol": 1e-7,
     "width_tol": 0.1, "g_floor": 0.01, "cadence": 3, "snapshot_every": 7,
     "smoothing": 0.2, "fit_order": 4,
 }
@@ -169,7 +176,7 @@ def test_every_csf_key_reaches_run_csf(tmp_path, monkeypatch):
     p = tmp_path / "cfg.cfg"
     p.write_text(
         "[every]\nkind = csf\ncurve = latitude_circle theta=1.0 n=64\nt_end = 0.02\n"
-        "dt = 1e-4\nsigma = 0.5\nresample = no\ncadence = 3\nlength_tol = 0.1\n"
+        "sigma = 0.5\ncadence = 3\nlength_tol = 0.1\n"
         "[defaults]\nkind = csf\ncurve = latitude_circle theta=1.0 n=64\n"
     )
     for name in ("every", "defaults"):
@@ -178,10 +185,9 @@ def test_every_csf_key_reaches_run_csf(tmp_path, monkeypatch):
     (start, n, t_end, kwargs), (_, _, default_t_end, default_kwargs) = seen
     assert np.arccos(start[2]) == pytest.approx(1.0) and n == 64
     assert t_end == 0.02
-    assert kwargs == dict(dt=1e-4, sigma=0.5, resample=False, cadence=3, length_tol=0.1)
+    assert kwargs == dict(sigma=0.5, cadence=3, length_tol=0.1)
     assert default_t_end == 0.1
-    assert default_kwargs == dict(dt=None, sigma=0.25, resample=True, cadence=1,
-                                  length_tol=0.05)
+    assert default_kwargs == dict(sigma=0.25, cadence=1, length_tol=0.05)
 
 
 # -- exporters --------------------------------------------------------------
@@ -274,7 +280,8 @@ def test_vtk_export_carries_curvature_fields(tmp_path):
 
 def test_writers_leave_no_reference_cycles(tmp_path):
     # with the collector off, every object the writers make is freed by
-    # reference counting alone, the open file and its buffer included
+    # reference counting alone, the open file and its buffer included; so
+    # is every object of the heap release that ends each scenario
     m = make_geodesic_sphere(1.0, 2)
     curve = make_latitude_circle(1.0, 32)
     gc.collect()
@@ -284,6 +291,7 @@ def test_writers_leave_no_reference_cycles(tmp_path):
             export_mesh(m, fmt, tmp_path / f"m.{fmt}")
         export_gauss_csv(m, tmp_path / "m.gauss.csv")
         save_curve_csv(curve, tmp_path / "c.csv")
+        cli._release_heap()
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -412,6 +420,17 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     assert "stop_reason: NumericalFailure" in summary
     assert "steps: 0\n" in summary
     assert capsys.readouterr().err == "sphere: NumericalFailure: non-finite speed at step 0\n"
+
+
+def test_nan_curve_exits_4(tmp_path, nan_on_third_curve_step, capsys):
+    p = tmp_path / "cfg.cfg"
+    p.write_text("[curve]\nkind = csf\ncurve = latitude_circle theta=1.0 n=64\nt_end = 0.5\n")
+    with np.errstate(invalid="ignore"):
+        assert main(["run", str(p), "curve", "--output-dir", str(tmp_path)]) == 4
+    summary = (tmp_path / "curve" / "summary").read_text()
+    assert "stop_reason: NumericalFailure" in summary
+    assert capsys.readouterr().err == (
+        "curve: NumericalFailure: sample off S2 by nan at step 3\n")
 
 
 def test_export_verb_round_trip(tmp_path):

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from s3flow.flow import StopReason
 from s3flow.s2curves import (
     S2Curve,
     _turning,
@@ -147,8 +148,21 @@ def test_csf_length_monotone():
 
 def test_csf_extinction_in_finite_time():
     res = run_csf(make_latitude_circle(np.pi / 3, 128), 2.0, sigma=0.25)
-    assert res.status == "Extinct"
+    assert res.reason is StopReason.EXTINCT
+    assert res.detail is None
     assert res.times[-1] < 0.8  # exact circle extinction is ln 2 ~ 0.693
+
+
+def test_nan_curve_stops_as_numerical_failure(nan_on_third_curve_step):
+    # a broken curve is no collapse: the run must not read it as Extinct
+    curve = make_latitude_circle(1.0, 64)
+    with np.errstate(invalid="ignore"):
+        res = run_csf(curve, 0.5, length_tol=0.05)
+    assert res.reason is StopReason.NUMERICAL_FAILURE
+    assert res.detail == "sample off S2 by nan at step 3"
+    assert len(res.times) == 3  # t = 0 and the two good steps
+    assert np.all(np.isfinite(res.final.samples))
+    assert res.lengths[-1] == pytest.approx(curve.length(), rel=1e-2)
 
 
 def test_csf_step_requires_positive_dt():
@@ -256,10 +270,11 @@ def test_turning_matches_log_map_reference(name):
 @pytest.mark.parametrize("resample", [True, False], ids=["resampled", "not-resampled"])
 @pytest.mark.parametrize("name", REFERENCE_CURVES)
 def test_csf_step_matches_reference(name, resample):
+    # the raw step, and the step composed with resampling as run_csf takes it
     c = REFERENCE_CURVES[name]()
     dt = 0.25 * float(c.gaps.min()) ** 2
-    assert_close(csf_step(c, dt, resample=resample).samples,
-                 _csf_step_reference(c.samples, dt, resample))
+    got = resample_uniform(csf_step(c, dt)) if resample else csf_step(c, dt)
+    assert_close(got.samples, _csf_step_reference(c.samples, dt, resample))
 
 
 # -- the row writer --------------------------------------------------------

@@ -107,7 +107,18 @@ MUTANTS = [
     Mutant("a NaN sample read as on S2", CURVES,
            "        if not dev <= 1e-10:", "        if dev > 1e-10:",
            (f"{T_CURVES}::test_curve_validation",)),
-    # the curve-shortening step
+    # the curve-shortening step and the stop of a curve run
+    Mutant("a NaN curve read as Extinct again", CURVES,
+           "        except CurveCollapseError:\n", "        except ValueError:\n",
+           (f"{T_CURVES}::test_nan_curve_stops_as_numerical_failure",
+            f"{T_CLI}::test_nan_curve_exits_4")),
+    Mutant("the curve runner returning 0 whatever its reason", CLI,
+           "    return _exit_status(sc, res)\n", "    _exit_status(sc, res)\n    return 0\n",
+           (f"{T_CLI}::test_nan_curve_exits_4",)),
+    Mutant("malloc_trim resolved on every heap release", CLI,
+           "    if _MALLOC_TRIM is not None:\n        _MALLOC_TRIM(0)\n",
+           "    ctypes.CDLL(None).malloc_trim(0)\n",
+           (f"{T_CLI}::test_writers_leave_no_reference_cycles",)),
     Mutant("t_in without its minus sign", CURVES,
            "t_in = np.negative(d[1], out=d[1])", "t_in = d[1]",
            (f"{T_CURVES}::test_turning_matches_log_map_reference",)),
