@@ -11,7 +11,9 @@ s2curves   closed curves on S2, curve-shortening flow, Weiner conditions
 cli        config-driven scenario runner and exporters
 """
 
-from . import cli, flow, gaussmaps, mesh, s2curves, s3core, speeds
+# cli is not imported here: ``python -m s3flow.cli`` would then find it
+# imported already and warn (RuntimeWarning) before running it
+from . import flow, gaussmaps, mesh, s2curves, s3core, speeds
 
 __all__ = ["s3core", "mesh", "speeds", "flow", "gaussmaps", "s2curves", "cli"]
 __version__ = "0.1.0"

@@ -386,7 +386,7 @@ def _run_flow_scenario(sc: Scenario, outdir):
 
 def _run_csf_scenario(sc: Scenario, outdir):
     curve = build_curve(sc.curve)
-    res = curvemod.run_csf(curve, sc.t_end, sigma=sc.sigma, cadence=max(sc.cadence, 1),
+    res = curvemod.run_csf(curve, sc.t_end, sigma=sc.sigma, cadence=sc.cadence,
                            length_tol=sc.length_tol)
     _write_trajectory(os.path.join(outdir, "trajectory.csv"), _CURVE_ROW,
                       np.stack([res.times, res.lengths], axis=1))

@@ -156,7 +156,7 @@ LAMBDA_FLOOR = 1e-8  # lower bound on lambda_max in cfl_dt, for speeds flat in c
 def cfl_dt(mesh: SurfaceMesh, curvature: CurvatureData, speed: SpeedFunction,
            sigma, dt_max=1e-2):
     """Parabolic step bound sigma * h_min^2 / lambda_max, capped at dt_max."""
-    h_min = float(np.min(mesh.edge_lengths()))
+    h_min = float(np.min(mesh.side_lengths()))
     d1, d2 = speed.partials(curvature.kappa1, curvature.kappa2)
     lam = float(np.max(np.abs(d1) + np.abs(d2)))
     return min(sigma * h_min * h_min / max(lam, LAMBDA_FLOOR), dt_max)
@@ -166,9 +166,9 @@ COS_MIN_ANGLE = float(np.cos(np.radians(1.0)))  # cosine of the smallest allowed
 
 
 def _check_degeneracy(mesh: SurfaceMesh):
-    el = mesh.edge_lengths()
-    if float(el.min()) < 1e-6:
-        raise MeshDegenerateError(f"edge collapsed to {el.min():.3e} rad")
+    sides = mesh.side_lengths()
+    if float(sides.min()) < 1e-6:
+        raise MeshDegenerateError(f"edge collapsed to {sides.min():.3e} rad")
     cos_max = float(mesh.triangle_cosines().max())
     if cos_max > COS_MIN_ANGLE:
         worst = float(np.degrees(np.arccos(min(cos_max, 1.0))))

@@ -30,7 +30,6 @@ import numpy as np
 # wraps mesh.log_map by name
 from .s3core import (  # noqa: F401
     cross4,
-    geodesic_distance,
     geodesic_step,
     log_map,
     log_scale,
@@ -114,7 +113,9 @@ class _Topology:
     ``one_ring_counts`` and ``ring_counts`` give the row lengths.
     ``vertex_faces`` lists the triangles around each vertex, ascending and
     padded with the index m of a zero row.  ``edges`` lists each undirected
-    edge (a, b) once, with a < b, in lexicographic order.
+    edge (a, b) once, with a < b, in lexicographic order, for
+    :meth:`SurfaceMesh.validate` and the Euler characteristic; the shape of
+    the mesh is measured per triangle (see :func:`_triangle_shape`).
     """
 
     def __init__(self, triangles, n_vertices):
@@ -147,17 +148,6 @@ class _Topology:
         cand.sort(axis=1)
         self.ring_counts = np.count_nonzero(cand < n, axis=1)
         self.two_ring_padded = cand[:, :self.ring_counts.max(initial=0)].copy()
-
-    @cached_property
-    def triangle_edges(self):
-        """(m, 3) rows of ``edges``: the side of each triangle opposite each
-        corner.  Built on first use, not with the other tables: only
-        :meth:`SurfaceMesh.area` reads it, and the set-up of a flow, which
-        builds the topology, should not pay for it."""
-        n = np.int64(self.n_vertices)
-        keys = self.edges[:, 0] * n + self.edges[:, 1]  # ascending
-        p, q = self.triangles[:, [1, 2, 0]], self.triangles[:, [2, 0, 1]]  # the other corners
-        return np.searchsorted(keys, np.minimum(p, q) * n + np.maximum(p, q))
 
     def euler_characteristic(self):
         return self.n_vertices - len(self.edges) + len(self.triangles)
@@ -194,22 +184,21 @@ def _vertex_normals(x, face_normals, vertex_faces, rows):
     return normalize(acc)
 
 
-def _triangle_cosines(a, b, c):
-    """Cosines of the Euclidean corner angles of the triangles with corners
-    ``a``, ``b``, ``c``."""
+def _triangle_shape(a, b, c):
+    """Cosines of the Euclidean corner angles and geodesic side lengths of
+    the triangles with corners ``a``, ``b``, ``c``: two (m, 3) tables whose
+    column k belongs to corner k, the side being the one opposite it.  Both
+    come from the three chord norms; a side is geodesic_distance's
+    2 arcsin(|q - p| / 2)."""
     ab, bc, ca = b - a, c - b, a - c
-    lab, lbc, lca = (np.sqrt(np.einsum("nd,nd->n", e, e)) for e in (ab, bc, ca))
-    return np.stack([
+    lab, lbc, lca = row_norms(ab), row_norms(bc), row_norms(ca)
+    cosines = np.stack([
         -np.einsum("nd,nd->n", ab, ca) / (lab * lca),
         -np.einsum("nd,nd->n", bc, ab) / (lbc * lab),
         -np.einsum("nd,nd->n", ca, bc) / (lca * lbc),
     ], axis=1)
-
-
-def _edge_lengths(x, edges, rows):
-    """Geodesic lengths of the edges ``edges[rows]``."""
-    e = edges[rows]
-    return geodesic_distance(np.take(x, e[:, 0], axis=0), np.take(x, e[:, 1], axis=0))
+    chords = np.stack([lbc, lca, lab], axis=1)
+    return cosines, 2.0 * np.arcsin(np.clip(0.5 * chords, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +239,6 @@ class SurfaceMesh:
             face_normals = padded(_face_normals(*_corners(self.vertices, self.triangles, ALL)))
             normals = _vertex_normals(self.vertices, face_normals, self.topology.vertex_faces, ALL)
         self.normals = np.ascontiguousarray(normals, dtype=float)
-        self._edge_lengths = None
-        self._triangle_cosines = None
         if validate:
             self.validate()
 
@@ -287,18 +274,20 @@ class SurfaceMesh:
 
     # -- aggregates ---------------------------------------------------------
 
-    def edge_lengths(self):
-        """Geodesic edge lengths in radians (cached; geometry is immutable)."""
-        if self._edge_lengths is None:
-            self._edge_lengths = _edge_lengths(self.vertices, self.topology.edges, ALL)
-        return self._edge_lengths
+    @cached_property
+    def _shape(self):
+        """(cosines, sides) of :func:`_triangle_shape` over every triangle;
+        geometry is immutable, and a step sets the tables it computed."""
+        return _triangle_shape(*_corners(self.vertices, self.triangles, ALL))
+
+    def side_lengths(self):
+        """(m, 3) geodesic lengths in radians of the side of each triangle
+        opposite each corner."""
+        return self._shape[1]
 
     def triangle_cosines(self):
-        """Cosines of the Euclidean corner angles of each triangle in R4 (cached)."""
-        if self._triangle_cosines is None:
-            corners = _corners(self.vertices, self.triangles, ALL)
-            self._triangle_cosines = _triangle_cosines(*corners)
-        return self._triangle_cosines
+        """Cosines of the Euclidean corner angles of each triangle in R4."""
+        return self._shape[0]
 
     def triangle_angles(self):
         """Euclidean corner angles (radians) of each triangle in R4."""
@@ -306,8 +295,9 @@ class SurfaceMesh:
 
     def area(self):
         """Total area as a sum of spherical triangle areas (l'Huilier), from
-        the edge lengths: a, b and c are the sides opposite each corner."""
-        a, b, c = np.take(self.edge_lengths(), self.topology.triangle_edges, axis=0).T
+        the side lengths: a, b and c are the sides opposite corners 0, 1
+        and 2."""
+        a, b, c = self.side_lengths().T
         s = 0.5 * (a + b + c)
         t = (
             np.tan(0.5 * s)
@@ -338,14 +328,14 @@ class MeshQualityReport:
 
 
 def mesh_quality(mesh: SurfaceMesh) -> MeshQualityReport:
-    el = mesh.edge_lengths()
+    sides = mesh.side_lengths()
     ang = mesh.triangle_angles()
     return MeshQualityReport(
         n_vertices=mesh.n_vertices,
         n_triangles=len(mesh.triangles),
         euler_characteristic=mesh.topology.euler_characteristic(),
-        min_edge=float(el.min()),
-        max_edge=float(el.max()),
+        min_edge=float(sides.min()),
+        max_edge=float(sides.max()),
         min_angle_deg=float(np.degrees(ang.min())),
     )
 
@@ -780,10 +770,7 @@ def _tangential_smooth(xz, normals, topo, strength, rows):
     """The vertices ``rows`` of ``xz`` (the vertices with a zero row
     appended, see :func:`padded`) with normals ``normals`` moved toward
     their one-ring log-mean on the topology ``topo``, within the surface
-    tangent plane only (parametrisation changes, geometry does not), and
-    whether any of them moved.  Where no vertex of the whole mesh moves, the
-    step keeps the vertices as they are, unnormalised; the caller decides
-    that over all rows."""
+    tangent plane only (parametrisation changes, geometry does not)."""
     x = xz[rows]
     nrm = normals[rows]
     # zero rows at the padding add nothing
@@ -799,7 +786,7 @@ def _tangential_smooth(xz, normals, topo, strength, rows):
     d = np.where(move[:, None], tang, np.array([1.0, 0.0, 0.0, 0.0]))
     d = d / row_norms(d, keepdims=True)
     s = np.where(move, s, 0.0)
-    return normalize(np.cos(s)[:, None] * x + np.sin(s)[:, None] * d), bool(np.any(move))
+    return normalize(np.cos(s)[:, None] * x + np.sin(s)[:, None] * d)
 
 
 COND_LIMIT = 1e8  # condition proxy above which a vertex's fit is flagged
@@ -848,9 +835,9 @@ class Stepper:
     The buffers hold the inputs and outputs of every phase, one copy of
     each table; the vertex buffers carry a zero row at index n for the
     padded ring gathers.  A phase is a method that takes a part: 0 and 1 are
-    fixed halves of the vertices, the triangles and the edges, WHOLE all of
-    them.  Each phase is built from the per-row kernels, so what it writes
-    does not depend on how the rows are shared out: :class:`StepWorker` runs
+    fixed halves of the vertices and the triangles, WHOLE all of them.
+    Each phase is built from the per-row kernels, so what it writes does not
+    depend on how the rows are shared out: :class:`StepWorker` runs
     the same phases in two processes with bit-identical results.  What a
     phase writes depends only on tables it does not write, so a phase run
     again over all rows, after one half of it failed, is exact too.
@@ -862,19 +849,18 @@ class Stepper:
         topo = self.topology = mesh.topology
         self.mesh = mesh
         self.order = order
-        n, m, ne = topo.n_vertices, len(topo.triangles), len(topo.edges)
+        n, m = topo.n_vertices, len(topo.triangles)
         self.block = fit_block_rows(order, topo.two_ring_padded.shape[1])
-        # vertex, triangle and edge rows of each part
-        self.parts = [(slice(n * i // 2, n * j // 2), slice(m * i // 2, m * j // 2),
-                       slice(ne * i // 2, ne * j // 2)) for i, j in ((0, 1), (1, 2), (0, 2))]
+        # vertex and triangle rows of each part
+        self.parts = [(slice(n * i // 2, n * j // 2), slice(m * i // 2, m * j // 2))
+                      for i, j in ((0, 1), (1, 2), (0, 2))]
         # the mesh that a step moves or a fit reads, and then the new mesh
         self.new, self.normals = alloc((n + 1, 4)), alloc((n, 4))
         # the arclength each vertex moves along its normal, the smoothing strength
         self.offsets, self.strength = alloc(n), alloc(1)
         self.moved = alloc((n + 1, 4))
-        self.moving = alloc(3, bool)  # whether the smoothing moved a vertex of each part
         self.face_normals = alloc((m + 1, 4))
-        self.cosines, self.lengths = alloc((m, 3)), alloc(ne)
+        self.cosines, self.sides = alloc((m, 3)), alloc((m, 3))
         self.out = (alloc((n, 3)), alloc(n), alloc(n, bool))  # hessian, cond, notspd
 
     def run(self, phase):
@@ -891,29 +877,28 @@ class Stepper:
         self.normals[...] = mesh.normals
 
     def step(self, mesh, offsets, smoothing):
-        """The mesh after one step, with its normals, edge lengths and
-        triangle cosines.
+        """The mesh after one step, with its normals, triangle cosines and
+        side lengths.
 
         Each vertex of ``mesh`` moves by arclength ``offsets`` along the
         great circle through its normal; with ``smoothing`` > 0 it then
-        moves toward its one-ring log-mean by that strength.
+        moves toward its one-ring log-mean by that strength, and every
+        vertex is renormalised, moved or not.
         """
         self._load(mesh, self.order)
         n = mesh.n_vertices
         self.offsets[...] = offsets
         self.strength[0] = smoothing
-        self.moving[...] = False
         self.run(MOVE)
         if smoothing > 0.0:
             self.run(MOVED_FACES)
             self.run(SMOOTH)
-        if not self.moving.any():  # smoothing off, or nothing moved
+        else:
             self.new[:n] = self.moved[:n]
         self.run(GEOMETRY)
         self.run(NORMALS)
         new = mesh.with_vertices(self.new[:n].copy(), normals=self.normals.copy())
-        new._edge_lengths = self.lengths.copy()
-        new._triangle_cosines = self.cosines.copy()
+        new._shape = self.cosines.copy(), self.sides.copy()
         return new
 
     def fit(self, mesh, order):
@@ -941,15 +926,14 @@ class Stepper:
         # the smoothing reads the buffers; this mesh is made only because
         # perfbench counts the moved mesh's normals as a with_vertices call
         self.mesh.with_vertices(self.moved[:-1], normals=self.normals)
-        self.new[v], self.moving[part] = _tangential_smooth(
-            self.moved, self.normals, self.topology, self.strength[0], v)
+        self.new[v] = _tangential_smooth(self.moved, self.normals, self.topology,
+                                         self.strength[0], v)
 
     def _geometry(self, part):
-        _, f, e = self.parts[part]
+        f = self.parts[part][1]
         corners = _corners(self.new, self.topology.triangles, f)
         self.face_normals[f] = _face_normals(*corners)
-        self.cosines[f] = _triangle_cosines(*corners)
-        self.lengths[e] = _edge_lengths(self.new, self.topology.edges, e)
+        self.cosines[f], self.sides[f] = _triangle_shape(*corners)
 
     def _normals(self, part):
         v = self.parts[part][0]

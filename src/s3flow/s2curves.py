@@ -235,7 +235,13 @@ def run_csf(curve: S2Curve, t_end, sigma=0.25, cadence=10, length_tol=0.05) -> C
     Each step obeys the parabolic bound dt <= sigma * (min ds)^2, and then
     the curve is resampled.  A collapse stops the run as Extinct; any other
     invalid curve, such as a NaN sample, as NumericalFailure, with ``detail``.
+    Raises ValueError, as FlowConfig does, for sigma outside (0, 1] or
+    cadence below 1.
     """
+    if not (0.0 < sigma <= 1.0):
+        raise ValueError("sigma must lie in (0, 1]")
+    if cadence < 1:
+        raise ValueError("cadence must be at least 1")
     t = 0.0
     cur = curve
     times = [0.0]

@@ -1,5 +1,7 @@
 import gc
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -48,12 +50,36 @@ def test_empty_config_lists_nothing(tmp_path):
     assert main(["list", str(p)]) == 0
 
 
-def test_malformed_config_diagnostic(tmp_path):
+def test_malformed_config_diagnostic(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("[s]\nkey without value\n")
     with pytest.raises(ConfigError, match="line"):
         parse_config(str(p))
     assert main(["list", str(p)]) == 1
+    capsys.readouterr()
+    # a value out of range stops a curve run before it starts, as it stops
+    # a flow run, with the same message
+    for kind in ("kind = flow\nsurface = geodesic_sphere r=1.0 level=1",
+                 "kind = csf\ncurve = latitude_circle theta=1.0 n=32"):
+        for line, message in (("sigma = 0", "sigma must lie in (0, 1]"),
+                              ("sigma = 1.5", "sigma must lie in (0, 1]"),
+                              ("cadence = 0", "cadence must be at least 1"),
+                              ("cadence = -5", "cadence must be at least 1")):
+            p.write_text(f"[s]\n{kind}\n{line}\n")
+            assert main(["run", str(p), "s", "--output-dir", str(tmp_path)]) == 1, line
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_module_entry_point_runs_without_warnings():
+    # the package does not import cli, so running it as __main__ finds no
+    # copy of it imported already
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "s3flow.cli", "list", BUNDLED],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "latitude-csf" in proc.stdout
 
 
 def test_unknown_key_rejected(tmp_path, capsys):

@@ -467,8 +467,8 @@ def _pushed(m, picked, by=1e-2):
 STEP_CASES = {
     "sphere-l4-order4-smoothed": (lambda: make_geodesic_sphere(np.pi / 3, 4), mcf(), 4, 0.3),
     "clifford-64-order2": (lambda: make_clifford_torus(64, 64), arctan_speed(), 2, 0.0),
-    # smoothing moves no vertex of the parent's half, only the pushed ones
-    # of the worker's and their neighbours
+    # smoothing moves only the pushed vertices of the worker's half and their
+    # neighbours; the parent's half is renormalised and nothing more
     "clifford-64-smoothed-in-one-half": (
         lambda: _pushed(make_clifford_torus(64, 64), [3000, 3500]), arctan_speed(), 2, 0.3),
     # halves of 321 rows, each ending inside a 320-row fit block
@@ -499,7 +499,7 @@ def test_split_step_bit_identical_to_serial(case, monkeypatch):
         want = estimate_curvature(fresh, order=order)
         for st in (got, serial):
             assert np.array_equal(st.mesh.normals, fresh.normals)
-            assert np.array_equal(st.mesh.edge_lengths(), fresh.edge_lengths())
+            assert np.array_equal(st.mesh.side_lengths(), fresh.side_lengths())
             assert np.array_equal(st.mesh.triangle_cosines(), fresh.triangle_cosines())
             for name in ("kappa1", "kappa2", "flagged"):
                 assert np.array_equal(getattr(st.curvature, name), getattr(want, name)), name
@@ -532,7 +532,7 @@ def test_error_in_the_worker_half_raised_as_in_the_serial_step(monkeypatch):
 # the kernel of each phase that may fail, with the rows of one call's output
 RERUN_KERNELS = {
     "geodesic_step": len,
-    "_tangential_smooth": lambda out: len(out[0]),
+    "_tangential_smooth": len,
     "_fit_block": lambda out: len(out[0]),
 }
 
@@ -570,7 +570,7 @@ def test_phase_rerun_after_a_failed_half_bit_identical_to_serial(kernel, monkeyp
     want = flow_step(state, mcf(), 1e-3, 0.3, 2)
     assert np.array_equal(got.mesh.vertices, want.mesh.vertices)
     assert np.array_equal(got.mesh.normals, want.mesh.normals)
-    assert np.array_equal(got.mesh.edge_lengths(), want.mesh.edge_lengths())
+    assert np.array_equal(got.mesh.side_lengths(), want.mesh.side_lengths())
     assert np.array_equal(got.mesh.triangle_cosines(), want.mesh.triangle_cosines())
     for name in ("kappa1", "kappa2", "flagged"):
         assert np.array_equal(getattr(got.curvature, name), getattr(want.curvature, name)), name

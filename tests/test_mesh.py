@@ -385,7 +385,7 @@ def _vertex_lhuilier_area(m):
 
 
 def _stepped_sphere():
-    """A perturbed level-3 sphere after one smoothed step, whose edge
+    """A perturbed level-3 sphere after one smoothed step, whose side
     lengths are the ones the step cached."""
     m = make_perturbed_sphere(np.pi / 3, 3, 0.05, seed=2)
     offsets = 1e-3 * np.sin(np.arange(m.n_vertices))
@@ -407,14 +407,15 @@ def test_area_from_edge_lengths_matches_vertex_sum(name):
     assert m.area() == _vertex_lhuilier_area(m)
 
 
-@pytest.mark.parametrize("name", ["sphere-l3", "hopf-96x64"])
-def test_triangle_edges_are_the_sides_opposite_each_corner(name):
-    topo = AREA_MESHES[name]().topology
-    tri = topo.triangles
-    ends = topo.edges[topo.triangle_edges]  # (m, 3, 2)
+@pytest.mark.parametrize("name", AREA_MESHES)
+def test_side_lengths_are_the_sides_opposite_each_corner(name):
+    m = AREA_MESHES[name]()
+    tri, x = m.triangles, m.vertices
+    sides = m.side_lengths()
+    assert sides.shape == (len(tri), 3)
     for k in range(3):
-        other = np.sort(tri[:, [(k + 1) % 3, (k + 2) % 3]], axis=1)
-        np.testing.assert_array_equal(ends[:, k], other)
+        other = geodesic_distance(x[tri[:, (k + 1) % 3]], x[tri[:, (k + 2) % 3]])
+        assert np.array_equal(sides[:, k], other), k
 
 
 def test_flagged_vertices_inherit_neighbors(monkeypatch):

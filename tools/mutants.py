@@ -20,7 +20,8 @@ temporary directory is removed afterwards.
 
 A change that adds or alters a check adds its mutants here.  Tier-1
 (``pytest`` from the repository root) collects ``tests/`` only, so it does
-not run this script.
+not run this script; ``tests/test_tools.py`` checks there that each row's
+original text occurs once and that each test it names exists.
 """
 
 from __future__ import annotations
@@ -148,22 +149,19 @@ MUTANTS = [
            "self.normals[v] = _vertex_normals(self.new,",
            "self.normals[v] = _vertex_normals(self.moved,",
            (f"{T_FLOW}::test_split_step_bit_identical_to_serial",)),
-    Mutant("smoothing's no-move return decided per half", MESH,
-           "    move = s > 1e-14\n",
-           "    move = s > 1e-14\n    if not np.any(move):\n        return x, False\n",
-           (f"{T_FLOW}::test_split_step_bit_identical_to_serial",)),
     Mutant("degeneracy check on the parent's triangles only", MESH,
-           "new._triangle_cosines = self.cosines.copy()",
-           "new._triangle_cosines = self.cosines[:len(self.cosines) // 2].copy()",
+           "new._shape = self.cosines.copy(), self.sides.copy()",
+           "new._shape = self.cosines[:len(self.cosines) // 2].copy(), self.sides.copy()",
            (f"{T_FLOW}::test_sliver_in_the_worker_half_stops_the_step",)),
+    Mutant("sides of the parent's triangles only copied into the new mesh", MESH,
+           "new._shape = self.cosines.copy(), self.sides.copy()",
+           "new._shape = self.cosines.copy(), self.sides[:len(self.sides) // 2].copy()",
+           (f"{T_MESH}::test_area_from_edge_lengths_matches_vertex_sum[perturbed-l3-stepped]",)),
     Mutant("the move writing over its own input", MESH,
            "        self.moved[v] = geodesic_step(self.new[v], self.normals[v], self.offsets[v])\n",
            "        self.new[v] = geodesic_step(self.new[v], self.normals[v], self.offsets[v])\n"
            "        self.moved[v] = self.new[v]\n",
            (f"{T_FLOW}::test_phase_rerun_after_a_failed_half_bit_identical_to_serial",)),
-    Mutant("edges split off the middle", MESH,
-           "slice(ne * i // 2, ne * j // 2)", "slice(ne * i // 2, ne * j // 2 - i)",
-           (f"{T_FLOW}::test_split_step_bit_identical_to_serial",)),
     Mutant("a failure in the worker's half ignored", MESH,
            'if failed or reply != b"d":', "if failed:",
            (f"{T_FLOW}::test_error_in_the_worker_half_raised_as_in_the_serial_step",)),
@@ -212,21 +210,20 @@ MUTANTS = [
            "- set(optional))\n    if unknown:\n",
            "- set(optional))\n    if unknown and what == \"surface\":\n",
            (f"{T_CLI}::test_build_surface_and_curve_specs",)),
-    # norms of short rows and the area from the cached edge lengths
+    # norms of short rows, and the area from the side lengths of each triangle
     Mutant("log_map back on arccos", CORE,
            "    theta = np.arctan2(dn, c)\n", "    theta = np.arccos(np.clip(c, -1.0, 1.0))\n",
            (f"{T_CORE}::test_log_map_at_a_small_angle",)),
     Mutant("row_norms summing from column 3", CORE,
            "    for k in range(2, v.shape[-1]):", "    for k in range(3, v.shape[-1]):",
            (f"{T_CORE}::test_row_norms_bit_identical_to_linalg_norm",)),
-    Mutant("triangle_edges from corners rotated the wrong way", MESH,
-           "p, q = self.triangles[:, [1, 2, 0]], self.triangles[:, [2, 0, 1]]",
-           "p, q = self.triangles[:, [2, 0, 1]], self.triangles[:, [0, 1, 2]]",
-           (f"{T_MESH}::test_triangle_edges_are_the_sides_opposite_each_corner",
-            f"{T_MESH}::test_area_from_edge_lengths_matches_vertex_sum")),
     Mutant("area's sides taken in the wrong order of corners", MESH,
-           "a, b, c = np.take(self.edge_lengths()", "b, c, a = np.take(self.edge_lengths()",
+           "a, b, c = self.side_lengths().T", "b, c, a = self.side_lengths().T",
            (f"{T_MESH}::test_area_from_edge_lengths_matches_vertex_sum",)),
+    Mutant("side opposite corner 0 taken from corners 0 and 1", MESH,
+           "chords = np.stack([lbc, lca, lab], axis=1)",
+           "chords = np.stack([lab, lca, lab], axis=1)",
+           (f"{T_MESH}::test_side_lengths_are_the_sides_opposite_each_corner",)),
     # the topology from one sorted edge list, the sphere builder and validate
     Mutant("vertex_faces without its row sort", MESH,
            "        self.vertex_faces.sort(axis=1)\n", "",
