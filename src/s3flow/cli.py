@@ -66,7 +66,6 @@ class Scenario:
     speed: str = "arctan"
     t_end: float = 0.1
     sigma: float = FlowConfig.sigma
-    dt_max: float = FlowConfig.dt_max
     speed_tol: float = FlowConfig.speed_tol
     width_tol: float = FlowConfig.width_tol
     g_floor: float = FlowConfig.g_floor
@@ -77,7 +76,6 @@ class Scenario:
     perturbation: float = 0.0
     seed: int = None
     exports: tuple = ()
-    length_tol: float = 0.05
 
 
 _READ = {str: str.strip, int: int, float: float,
@@ -386,8 +384,7 @@ def _run_flow_scenario(sc: Scenario, outdir):
 
 def _run_csf_scenario(sc: Scenario, outdir):
     curve = build_curve(sc.curve)
-    res = curvemod.run_csf(curve, sc.t_end, sigma=sc.sigma, cadence=sc.cadence,
-                           length_tol=sc.length_tol)
+    res = curvemod.run_csf(curve, sc.t_end, sigma=sc.sigma, cadence=sc.cadence)
     _write_trajectory(os.path.join(outdir, "trajectory.csv"), _CURVE_ROW,
                       np.stack([res.times, res.lengths], axis=1))
     k_final, _ = curvemod.geodesic_curvature(res.final)

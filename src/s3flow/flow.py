@@ -47,13 +47,12 @@ class StopReason(enum.Enum):
 
 @dataclass
 class FlowConfig:
-    """Run parameters; every step is the parabolic CFL bound with factor
-    sigma, capped at dt_max (see :func:`cfl_dt`)."""
+    """Run parameters; each of at most MAX_STEPS steps is the parabolic CFL
+    bound with factor sigma, capped at DT_MAX (see :func:`cfl_dt`)."""
 
     speed: SpeedFunction
     t_end: float
     sigma: float = 0.25
-    dt_max: float = 1e-2
     speed_tol: float = 1e-6
     width_tol: float = 0.05
     g_floor: float = 0.05
@@ -61,7 +60,6 @@ class FlowConfig:
     snapshot_every: int = 0
     smoothing: float = 0.0
     fit_order: int = 2
-    max_steps: int = 500_000
 
     def __post_init__(self):
         if not (0.0 < self.sigma <= 1.0):
@@ -151,15 +149,16 @@ def pinching_report(curvature: CurvatureData, mesh: SurfaceMesh,
 
 
 LAMBDA_FLOOR = 1e-8  # lower bound on lambda_max in cfl_dt, for speeds flat in curvature
+DT_MAX = 1e-2  # the cap of cfl_dt: no step of a flow is longer
+MAX_STEPS = 500_000  # steps after which a flow or a curve run stops as TimeExhausted
 
 
-def cfl_dt(mesh: SurfaceMesh, curvature: CurvatureData, speed: SpeedFunction,
-           sigma, dt_max=1e-2):
-    """Parabolic step bound sigma * h_min^2 / lambda_max, capped at dt_max."""
+def cfl_dt(mesh: SurfaceMesh, curvature: CurvatureData, speed: SpeedFunction, sigma):
+    """Parabolic step bound sigma * h_min^2 / lambda_max, capped at DT_MAX."""
     h_min = float(np.min(mesh.side_lengths()))
     d1, d2 = speed.partials(curvature.kappa1, curvature.kappa2)
     lam = float(np.max(np.abs(d1) + np.abs(d2)))
-    return min(sigma * h_min * h_min / max(lam, LAMBDA_FLOOR), dt_max)
+    return min(sigma * h_min * h_min / max(lam, LAMBDA_FLOOR), DT_MAX)
 
 
 COS_MIN_ANGLE = float(np.cos(np.radians(1.0)))  # cosine of the smallest allowed corner
@@ -270,11 +269,11 @@ def _run(mesh0, config, worker):
             if float(np.max(np.abs(f))) < config.speed_tol:
                 reason = StopReason.CONVERGED
                 break
-            if state.t >= config.t_end - 1e-14 or state.step_index >= config.max_steps:
+            if state.t >= config.t_end - 1e-14 or state.step_index >= MAX_STEPS:
                 reason = StopReason.TIME_EXHAUSTED
                 break
-            dt = min(cfl_dt(state.mesh, state.curvature, config.speed,
-                            config.sigma, config.dt_max), config.t_end - state.t)
+            dt = min(cfl_dt(state.mesh, state.curvature, config.speed, config.sigma),
+                     config.t_end - state.t)
             _check_finite(state.step_index, dt=dt)
             state = flow_step(state, config.speed, dt, smoothing=config.smoothing,
                               fit_order=config.fit_order, worker=worker, speed_values=f)

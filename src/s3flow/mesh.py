@@ -87,8 +87,9 @@ def validate_topology(triangles, n_vertices):
             "appears in more than one triangle"
         )
     rev = keys % n * n + keys // n
-    missing = keys[keys[np.minimum(np.searchsorted(keys, rev), len(keys) - 1)] != rev]
-    if missing.size:
+    # the keys ascend without repeats: every edge has its reverse iff rev sorts to keys
+    if not np.array_equal(np.sort(rev), keys):
+        missing = keys[keys[np.minimum(np.searchsorted(keys, rev), len(keys) - 1)] != rev]
         k = missing[0]
         raise MeshError(
             f"boundary edge ({k // n}, {k % n}): "
@@ -728,8 +729,8 @@ def _fit_block(frame, y, counts, order):
 
 def _fit_blocks(xz, normals, topology, order, out, rows, block):
     """Fit the vertices ``rows`` (a slice) of ``xz`` (padded, see :func:`padded`)
-    with normals ``normals`` in blocks of ``block`` from its start into
-    ``out`` = (hessian, cond, notspd).
+    with normals ``normals`` into ``out`` = (hessian, cond, notspd), in
+    round(len / block) blocks, at least one, of equal lengths to a row.
 
     :func:`_fit_block` treats each vertex on its own, so the results do not
     depend on where the blocks start or how long they are.
@@ -738,9 +739,11 @@ def _fit_blocks(xz, normals, topology, order, out, rows, block):
     # the frames of all rows in one call: one call per block took 1.6 ms
     # against 0.6 ms in an order-4 fit of a level-4 sphere on one CPU
     frames = _frames(xz[rows], normals[rows], np.take(xz, ring[rows, 0], axis=0))
-    for start in range(rows.start, rows.stop, block):
-        b = slice(start, min(start + block, rows.stop))
-        fitted = _fit_block(frames[start - rows.start:b.stop - rows.start],
+    r = rows.stop - rows.start
+    count = max(1, round(r / block))
+    for i in range(count):
+        b = slice(rows.start + r * i // count, rows.start + r * (i + 1) // count)
+        fitted = _fit_block(frames[b.start - rows.start:b.stop - rows.start],
                             np.take(xz, ring[b], axis=0), topology.ring_counts[b], order)
         for dst, src in zip(out, fitted):
             dst[b] = src

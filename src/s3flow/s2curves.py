@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import StopReason
+from .flow import MAX_STEPS, StopReason
 from .s3core import normalize
 
-CSF_MAX_STEPS = 500_000  # steps after which run_csf stops
+CSF_LENGTH_TOL = 0.05  # the length below which run_csf stops as Extinct
 WEINER_TOTAL_TOL = 0.05  # largest |total geodesic curvature| that weiner_check passes
 HAUSDORFF_SAMPLES = 512  # samples of each curve in hausdorff_distance
 
@@ -229,8 +229,8 @@ class CsfResult:
     detail: str = None     # why a NumericalFailure run stopped
 
 
-def run_csf(curve: S2Curve, t_end, sigma=0.25, cadence=10, length_tol=0.05) -> CsfResult:
-    """Run curve shortening until t_end or until the curve nearly vanishes.
+def run_csf(curve: S2Curve, t_end, sigma=0.25, cadence=10) -> CsfResult:
+    """Run curve shortening until t_end, MAX_STEPS steps or a length below CSF_LENGTH_TOL.
 
     Each step obeys the parabolic bound dt <= sigma * (min ds)^2, and then
     the curve is resampled.  A collapse stops the run as Extinct; any other
@@ -250,8 +250,8 @@ def run_csf(curve: S2Curve, t_end, sigma=0.25, cadence=10, length_tol=0.05) -> C
     curve_times = [0.0]
     reason, detail = StopReason.TIME_EXHAUSTED, None
     step = 0
-    while t < t_end - 1e-14 and step < CSF_MAX_STEPS:
-        if lengths[-1] < length_tol:
+    while t < t_end - 1e-14 and step < MAX_STEPS:
+        if lengths[-1] < CSF_LENGTH_TOL:
             reason = StopReason.EXTINCT
             break
         step_dt = min(sigma * float(cur.gaps.min()) ** 2, t_end - t)

@@ -85,9 +85,11 @@ def test_module_entry_point_runs_without_warnings():
 def test_unknown_key_rejected(tmp_path, capsys):
     # neither dt (a fixed step) nor resample (a curve run without
     # resampling) is a key: every step is the CFL bound, every curve step
-    # resamples
+    # resamples; the step's cap and a curve run's extinction length are
+    # the constants flow.DT_MAX and s2curves.CSF_LENGTH_TOL
     p = tmp_path / "bad.cfg"
-    for line in ("whatever = 3", "dt = 1e-3", "resample = no"):
+    for line in ("whatever = 3", "dt = 1e-3", "resample = no", "dt_max = 2e-3",
+                 "length_tol = 0.1"):
         p.write_text(f"[s]\nkind = flow\nsurface = clifford nu=8 nv=8\n{line}\n")
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"unknown key '{key}'$"):
@@ -155,9 +157,8 @@ class Reached(Exception):
 
 # one value per key that a flow scenario hands to FlowConfig, none the default
 FLOW_VALUES = {
-    "t_end": 0.02, "sigma": 0.5, "dt_max": 2e-3, "speed_tol": 1e-7,
-    "width_tol": 0.1, "g_floor": 0.01, "cadence": 3, "snapshot_every": 7,
-    "smoothing": 0.2, "fit_order": 4,
+    "t_end": 0.02, "sigma": 0.5, "speed_tol": 1e-7, "width_tol": 0.1,
+    "g_floor": 0.01, "cadence": 3, "snapshot_every": 7, "smoothing": 0.2, "fit_order": 4,
 }
 
 
@@ -202,7 +203,7 @@ def test_every_csf_key_reaches_run_csf(tmp_path, monkeypatch):
     p = tmp_path / "cfg.cfg"
     p.write_text(
         "[every]\nkind = csf\ncurve = latitude_circle theta=1.0 n=64\nt_end = 0.02\n"
-        "sigma = 0.5\ncadence = 3\nlength_tol = 0.1\n"
+        "sigma = 0.5\ncadence = 3\n"
         "[defaults]\nkind = csf\ncurve = latitude_circle theta=1.0 n=64\n"
     )
     for name in ("every", "defaults"):
@@ -211,9 +212,9 @@ def test_every_csf_key_reaches_run_csf(tmp_path, monkeypatch):
     (start, n, t_end, kwargs), (_, _, default_t_end, default_kwargs) = seen
     assert np.arccos(start[2]) == pytest.approx(1.0) and n == 64
     assert t_end == 0.02
-    assert kwargs == dict(sigma=0.5, cadence=3, length_tol=0.1)
+    assert kwargs == dict(sigma=0.5, cadence=3)
     assert default_t_end == 0.1
-    assert default_kwargs == dict(sigma=0.25, cadence=1, length_tol=0.05)
+    assert default_kwargs == dict(sigma=0.25, cadence=1)
 
 
 # -- exporters --------------------------------------------------------------

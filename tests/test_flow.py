@@ -9,6 +9,7 @@ from s3flow import flow
 from s3flow import mesh as mesh_module
 from s3flow.cli import main
 from s3flow.flow import (
+    DT_MAX,
     FlowConfig,
     FlowState,
     MeshDegenerateError,
@@ -103,12 +104,12 @@ def test_cfl_dt_caps_for_stationary_surface():
     c = estimate_curvature(m)
     dt = cfl_dt(m, c, arctan_speed(), 0.25)
     # partials ~ 1 on the great sphere, so the cap does not bind here,
-    # but a zero-derivative speed hits the dt_max cap
+    # but a zero-derivative speed hits the DT_MAX cap
     from s3flow.speeds import SpeedFunction
 
     frozen = SpeedFunction("zero", lambda a, b: 0.0 * a,
                            partials=lambda a, b: (0.0 * a, 0.0 * b))
-    assert cfl_dt(m, c, frozen, 0.25) == 1e-2
+    assert cfl_dt(m, c, frozen, 0.25) == DT_MAX
 
 
 def test_cfl_dt_scales_with_resolution():
@@ -280,7 +281,7 @@ def test_mesh_degenerate_detected():
 
 def test_nan_speed_stops_as_numerical_failure():
     # log(H - 10) is NaN wherever H < 10: on this sphere, from step 0 on
-    cfg = FlowConfig(speed=custom_fH("log(H-10)"), t_end=1.0, max_steps=200)
+    cfg = FlowConfig(speed=custom_fH("log(H-10)"), t_end=1.0)
     with np.errstate(invalid="ignore"):
         result = run_flow(make_geodesic_sphere(1.0, 2), cfg)
     assert result.reason is StopReason.NUMERICAL_FAILURE
@@ -601,8 +602,9 @@ def test_sliver_in_the_worker_half_stops_the_step(monkeypatch):
 
 
 def test_run_flow_same_on_one_and_two_cpus(monkeypatch):
-    cfg = FlowConfig(speed=mcf(), t_end=1.0, sigma=0.7, smoothing=0.3, fit_order=4,
-                     max_steps=5, snapshot_every=2)
+    # five steps, the last cut short at t_end
+    cfg = FlowConfig(speed=mcf(), t_end=5e-3, sigma=0.7, smoothing=0.3, fit_order=4,
+                     snapshot_every=2)
     m = make_geodesic_sphere(np.pi / 3, 4)
     results = []
     for cpus in ({0, 1}, {0}):
@@ -612,6 +614,7 @@ def test_run_flow_same_on_one_and_two_cpus(monkeypatch):
     assert two.worker_peak_rss_mb > 1.0
     assert one.worker_peak_rss_mb is None
     assert two.reason is one.reason is StopReason.TIME_EXHAUSTED
+    assert two.final.step_index == 5
     assert two.detail == one.detail
     assert np.array_equal(two.times, one.times)
     assert two.reports == one.reports

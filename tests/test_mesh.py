@@ -481,7 +481,9 @@ def test_fit_blocks_independent_of_block_layout(order):
     want = stepper.fit(m, order)
     default = fit_block_rows(order, m.topology.two_ring_padded.shape[1])
     assert default == {2: 320, 4: 128}[order]
-    for rows in (slice(0, n), slice(64, n), slice(321, 600)):
+    # the whole mesh, its two halves (321 rows each) and two other ranges
+    for rows in (slice(0, n), slice(0, n // 2), slice(n // 2, n), slice(64, n),
+                 slice(321, 600)):
         for block in (1, 37, default, n):
             out = (np.zeros((n, 3)), np.zeros(n), np.zeros(n, bool))
             _fit_blocks(stepper.new, stepper.normals, m.topology, order, out, rows, block)
@@ -489,6 +491,29 @@ def test_fit_blocks_independent_of_block_layout(order):
                 assert np.array_equal(got[rows], full[rows]), (rows, block)
                 # rows outside the range are left as they were
                 assert not np.any(np.delete(got, np.r_[rows], axis=0))
+
+
+@pytest.mark.parametrize("level, order, lengths", [
+    (3, 2, [321]),  # not a block of 320 and one of 1
+    (4, 4, [128] * 9 + [129]),  # not ten of 128 and one of 1
+])
+def test_fit_blocks_of_equal_length(level, order, lengths, monkeypatch):
+    # each half of a sphere is cut into the nearest whole number of blocks
+    # of the default length, of equal lengths to a row
+    m = make_geodesic_sphere(np.pi / 3, level)
+    stepper = Stepper(m, order)
+    out = stepper.fit(m, order)
+    fit_block = mesh_module._fit_block
+    seen = []
+
+    def record(frame, y, counts, order):
+        seen.append(len(counts))
+        return fit_block(frame, y, counts, order)
+
+    monkeypatch.setattr(mesh_module, "_fit_block", record)
+    for rows, _ in stepper.parts[:2]:
+        _fit_blocks(stepper.new, stepper.normals, m.topology, order, out, rows, stepper.block)
+    assert seen == lengths * 2
 
 
 def test_not_spd_vertex_flagged_alone():

@@ -5,6 +5,7 @@ import pytest
 
 from s3flow.flow import StopReason
 from s3flow.s2curves import (
+    CSF_LENGTH_TOL,
     S2Curve,
     _turning,
     csf_step,
@@ -111,8 +112,7 @@ def test_great_circle_csf_stationary():
 def test_latitude_matches_ode_oracle():
     # latitude circles stay latitude circles; colatitude obeys
     # dtheta/dt = -cot(theta)
-    res = run_csf(make_latitude_circle(np.pi / 3, 256), 0.6, sigma=0.25,
-                  cadence=25, length_tol=0.05)
+    res = run_csf(make_latitude_circle(np.pi / 3, 256), 0.6, sigma=0.25, cadence=25)
 
     def rk4(th0, t_end, dt=1e-5):
         ts, ths = [0.0], [th0]
@@ -151,13 +151,15 @@ def test_csf_extinction_in_finite_time():
     assert res.reason is StopReason.EXTINCT
     assert res.detail is None
     assert res.times[-1] < 0.8  # exact circle extinction is ln 2 ~ 0.693
+    # the run stops at the first length below CSF_LENGTH_TOL
+    assert res.lengths[-1] < CSF_LENGTH_TOL <= res.lengths[-2]
 
 
 def test_nan_curve_stops_as_numerical_failure(nan_on_third_curve_step):
     # a broken curve is no collapse: the run must not read it as Extinct
     curve = make_latitude_circle(1.0, 64)
     with np.errstate(invalid="ignore"):
-        res = run_csf(curve, 0.5, length_tol=0.05)
+        res = run_csf(curve, 0.5)
     assert res.reason is StopReason.NUMERICAL_FAILURE
     assert res.detail == "sample off S2 by nan at step 3"
     assert len(res.times) == 3  # t = 0 and the two good steps

@@ -66,8 +66,12 @@ MUTANTS = [
            "(slice(n * i // 2, n * j // 2)", "(slice(n * i // 2 + i, n * j // 2)",
            (f"{T_MESH}::test_parallel_fit_bit_identical_to_serial",
             f"{T_FLOW}::test_split_step_bit_identical_to_serial")),
-    Mutant("fit block overrunning its row range", MESH,
-           "slice(start, min(start + block, rows.stop))", "slice(start, start + block)",
+    Mutant("block count rounded up, a short block again", MESH,
+           "count = max(1, round(r / block))", "count = -(-r // block)",
+           (f"{T_MESH}::test_fit_blocks_of_equal_length",)),
+    Mutant("the last equal block's bound off by one", MESH,
+           "rows.start + r * (i + 1) // count)",
+           "rows.start + r * (i + 1) // count - (i == count - 1))",
            (f"{T_MESH}::test_fit_blocks_independent_of_block_layout",)),
     Mutant("worker pinned to the lowest CPU", MESH,
            "min(cpus - {_current_cpu()})", "min(cpus)",
@@ -93,6 +97,10 @@ MUTANTS = [
            "reports.append(pinching_report(st.curvature, st.mesh, "
            "config.speed.eval(st.curvature.kappa1, st.curvature.kappa2)))",
            (f"{T_FLOW}::test_speed_evaluated_once_per_step",)),
+    Mutant("cfl_dt without the DT_MAX cap", FLOW,
+           "    return min(sigma * h_min * h_min / max(lam, LAMBDA_FLOOR), DT_MAX)\n",
+           "    return sigma * h_min * h_min / max(lam, LAMBDA_FLOOR)\n",
+           (f"{T_FLOW}::test_cfl_dt_caps_for_stationary_surface",)),
     Mutant("MeshDegenerate detail dropped", FLOW,
            "StopReason.MESH_DEGENERATE, str(exc)", "StopReason.MESH_DEGENERATE, None",
            (f"{T_CLI}::test_mesh_degenerate_exits_3",)),
@@ -113,6 +121,9 @@ MUTANTS = [
            "        except CurveCollapseError:\n", "        except ValueError:\n",
            (f"{T_CURVES}::test_nan_curve_stops_as_numerical_failure",
             f"{T_CLI}::test_nan_curve_exits_4")),
+    Mutant("run_csf ignores CSF_LENGTH_TOL", CURVES,
+           "        if lengths[-1] < CSF_LENGTH_TOL:\n", "        if False:\n",
+           (f"{T_CURVES}::test_csf_extinction_in_finite_time",)),
     Mutant("the curve runner returning 0 whatever its reason", CLI,
            "    return _exit_status(sc, res)\n", "    _exit_status(sc, res)\n    return 0\n",
            (f"{T_CLI}::test_nan_curve_exits_4",)),
@@ -231,8 +242,10 @@ MUTANTS = [
     Mutant("reverse-edge lookup against the reversed keys", MESH,
            "keys[keys[np.minimum(np.searchsorted(keys, rev), len(keys) - 1)] != rev]",
            "keys[rev[np.minimum(np.searchsorted(rev, keys), len(keys) - 1)] != keys]",
-           (f"{T_MESH}::test_topology_errors_name_the_smallest_edge",
-            f"{T_MESH}::test_topology_tables_match_loop_build")),
+           (f"{T_MESH}::test_topology_errors_name_the_smallest_edge",)),
+    Mutant("the reverse-edge comparison made always true", MESH,
+           "    if not np.array_equal(np.sort(rev), keys):\n", "    if False:\n",
+           (f"{T_MESH}::test_topology_errors_name_the_smallest_edge",)),
     Mutant("validate's NaN checks reverted", MESH,
            "        if not dev <= 1e-10:\n            raise MeshError(f\"vertex off S3 by {dev:.3e}\")\n"
            "        ndev = unit_deviation(self.normals)\n        if not ndev <= 1e-8:\n",
