@@ -109,6 +109,8 @@ def parse_config(path):
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
         if sc.kind not in _RUNNERS:
             raise ConfigError(f"{path}: [{section}] unknown kind {sc.kind!r}")
+        if not sc.perturbation >= 0.0:
+            raise ConfigError(f"{path}: [{section}] perturbation must be at least 0")
         if sc.perturbation > 0.0 and sc.seed is None:
             raise ConfigError(
                 f"{path}: [{section}] perturbation requires an explicit seed"

@@ -21,15 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CurvatureData, Stepper, SurfaceMesh, estimate_curvature, step_worker
+from .mesh import (CurvatureData, MeshDegenerateError, Stepper, SurfaceMesh,
+                   estimate_curvature, step_worker)
 # log_map and geodesic_step are not called here; they stay bound because
 # perfbench/layers.py wraps flow.log_map and flow.geodesic_step by name
 from .s3core import geodesic_step, log_map  # noqa: F401
 from .speeds import SpeedFunction, speed_huisken_monitor
-
-
-class MeshDegenerateError(RuntimeError):
-    """The evolving mesh collapsed below the quality thresholds."""
 
 
 class _NonFinite(ArithmeticError):
@@ -48,7 +45,11 @@ class StopReason(enum.Enum):
 @dataclass
 class FlowConfig:
     """Run parameters; each of at most MAX_STEPS steps is the parabolic CFL
-    bound with factor sigma, capped at DT_MAX (see :func:`cfl_dt`)."""
+    bound with factor sigma, capped at DT_MAX (see :func:`cfl_dt`).
+
+    Raises ValueError for a setting out of range; each check is written so
+    that a NaN fails it.  t_end may be infinite.
+    """
 
     speed: SpeedFunction
     t_end: float
@@ -64,11 +65,15 @@ class FlowConfig:
     def __post_init__(self):
         if not (0.0 < self.sigma <= 1.0):
             raise ValueError("sigma must lie in (0, 1]")
-        for name in ("speed_tol", "width_tol", "g_floor"):
-            if getattr(self, name) <= 0.0:
+        for name in ("t_end", "speed_tol", "width_tol", "g_floor"):
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.cadence < 1:
             raise ValueError("cadence must be at least 1")
+        if not self.smoothing >= 0.0:
+            raise ValueError("smoothing must be at least 0")
+        if self.fit_order not in (2, 4):
+            raise ValueError("fit_order must be 2 or 4")
 
 
 @dataclass
@@ -161,25 +166,13 @@ def cfl_dt(mesh: SurfaceMesh, curvature: CurvatureData, speed: SpeedFunction, si
     return min(sigma * h_min * h_min / max(lam, LAMBDA_FLOOR), DT_MAX)
 
 
-COS_MIN_ANGLE = float(np.cos(np.radians(1.0)))  # cosine of the smallest allowed corner
-
-
-def _check_degeneracy(mesh: SurfaceMesh):
-    sides = mesh.side_lengths()
-    if float(sides.min()) < 1e-6:
-        raise MeshDegenerateError(f"edge collapsed to {sides.min():.3e} rad")
-    cos_max = float(mesh.triangle_cosines().max())
-    if cos_max > COS_MIN_ANGLE:
-        worst = float(np.degrees(np.arccos(min(cos_max, 1.0))))
-        raise MeshDegenerateError(f"minimum triangle angle {worst:.3f} deg < 1 deg")
-
-
 def flow_step(state: FlowState, speed: SpeedFunction, dt,
               smoothing=0.0, fit_order=2, worker: Stepper = None,
               speed_values=None) -> FlowState:
     """One explicit step: every vertex moves along the great circle through
     its outward normal by arclength -F dt; normals and curvature are then
-    recomputed from the new geometry.
+    recomputed from the new geometry.  The step raises MeshDegenerateError
+    where the new mesh fails the quality check (:meth:`mesh.Stepper.step`).
 
     ``worker`` is the :class:`mesh.Stepper` (or step worker) of the run,
     which also runs the fit; by default the step runs in this process.
@@ -196,7 +189,6 @@ def flow_step(state: FlowState, speed: SpeedFunction, dt,
     if worker is None:
         worker = Stepper(mesh, fit_order)
     new_mesh = worker.step(mesh, -f * dt, smoothing)
-    _check_degeneracy(new_mesh)
     return FlowState(
         t=state.t + dt,
         mesh=new_mesh,
@@ -219,7 +211,9 @@ def run_flow(mesh0: SurfaceMesh, config: FlowConfig) -> FlowResult:
     would make the t = 0 diagnostics incomparably sharper than the rest).
 
     Every step checks the vertices, the curvature, the speed and dt for NaN
-    or infinity; a run that meets one stops as NumericalFailure.
+    or infinity; a run that meets one stops as NumericalFailure.  The mesh
+    the run starts from must pass the quality check that each step applies
+    to the mesh it makes, or the run stops as MeshDegenerate at step 0.
     ``FlowResult.detail`` names that quantity, or carries the message of a
     MeshDegenerate stop.
 
@@ -252,10 +246,11 @@ def _run(mesh0, config, worker):
             snapshots.append(st)
 
     reason = detail = None
+    # F once per state, for its report, the Converged check and the step
+    f = config.speed.eval(curvature.kappa1, curvature.kappa2)
     try:
+        worker.check(mesh0)
         while True:
-            # F once per pass, for the report, the Converged check and the step
-            f = config.speed.eval(state.curvature.kappa1, state.curvature.kappa2)
             record(state, f)
             _check_finite(state.step_index, vertices=state.mesh.vertices,
                           curvature=(state.curvature.kappa1, state.curvature.kappa2))
@@ -277,6 +272,7 @@ def _run(mesh0, config, worker):
             _check_finite(state.step_index, dt=dt)
             state = flow_step(state, config.speed, dt, smoothing=config.smoothing,
                               fit_order=config.fit_order, worker=worker, speed_values=f)
+            f = config.speed.eval(state.curvature.kappa1, state.curvature.kappa2)
     except MeshDegenerateError as exc:
         reason, detail = StopReason.MESH_DEGENERATE, str(exc)
     except _NonFinite as exc:

@@ -50,6 +50,10 @@ class MeshError(ValueError):
     """Raised when mesh data violates a structural invariant."""
 
 
+class MeshDegenerateError(RuntimeError):
+    """The evolving mesh collapsed below the quality thresholds."""
+
+
 # ---------------------------------------------------------------------------
 # topology
 # ---------------------------------------------------------------------------
@@ -202,6 +206,19 @@ def _triangle_shape(a, b, c):
     return cosines, 2.0 * np.arcsin(np.clip(0.5 * chords, -1.0, 1.0))
 
 
+COS_MIN_ANGLE = float(np.cos(np.radians(1.0)))  # cosine of the smallest allowed corner
+
+
+def _check_shape(cosines, sides):
+    """Raise MeshDegenerateError for a side below 1e-6 rad or a corner below 1 deg."""
+    if float(sides.min()) < 1e-6:
+        raise MeshDegenerateError(f"edge collapsed to {sides.min():.3e} rad")
+    cos_max = float(cosines.max())
+    if cos_max > COS_MIN_ANGLE:
+        worst = float(np.degrees(np.arccos(min(cos_max, 1.0))))
+        raise MeshDegenerateError(f"minimum triangle angle {worst:.3f} deg < 1 deg")
+
+
 # ---------------------------------------------------------------------------
 # the mesh
 # ---------------------------------------------------------------------------
@@ -224,6 +241,8 @@ class SurfaceMesh:
         from the winding if omitted.
     grid_shape : tuple, optional
         (rows, cols) layout for grid-generated tori; row-major vertex order.
+
+    A mesh caches the side lengths of its triangles, not their corner angles.
     """
 
     def __init__(self, vertices, triangles, normals=None, validate=True,
@@ -276,23 +295,15 @@ class SurfaceMesh:
     # -- aggregates ---------------------------------------------------------
 
     @cached_property
-    def _shape(self):
-        """(cosines, sides) of :func:`_triangle_shape` over every triangle;
-        geometry is immutable, and a step sets the tables it computed."""
-        return _triangle_shape(*_corners(self.vertices, self.triangles, ALL))
+    def _sides(self):
+        """The sides of :func:`_triangle_shape` over every triangle; geometry
+        is immutable, and a step sets the table it computed."""
+        return _triangle_shape(*_corners(self.vertices, self.triangles, ALL))[1]
 
     def side_lengths(self):
         """(m, 3) geodesic lengths in radians of the side of each triangle
         opposite each corner."""
-        return self._shape[1]
-
-    def triangle_cosines(self):
-        """Cosines of the Euclidean corner angles of each triangle in R4."""
-        return self._shape[0]
-
-    def triangle_angles(self):
-        """Euclidean corner angles (radians) of each triangle in R4."""
-        return np.arccos(np.clip(self.triangle_cosines(), -1.0, 1.0))
+        return self._sides
 
     def area(self):
         """Total area as a sum of spherical triangle areas (l'Huilier), from
@@ -329,15 +340,16 @@ class MeshQualityReport:
 
 
 def mesh_quality(mesh: SurfaceMesh) -> MeshQualityReport:
-    sides = mesh.side_lengths()
-    ang = mesh.triangle_angles()
+    """Counts, side lengths and the smallest corner of ``mesh``; the corner
+    cosines come from :func:`_triangle_shape` at each call, a mesh keeps none."""
+    cosines, sides = _triangle_shape(*_corners(mesh.vertices, mesh.triangles, ALL))
     return MeshQualityReport(
         n_vertices=mesh.n_vertices,
         n_triangles=len(mesh.triangles),
         euler_characteristic=mesh.topology.euler_characteristic(),
         min_edge=float(sides.min()),
         max_edge=float(sides.max()),
-        min_angle_deg=float(np.degrees(ang.min())),
+        min_angle_deg=float(np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)).min())),
     )
 
 
@@ -880,13 +892,14 @@ class Stepper:
         self.normals[...] = mesh.normals
 
     def step(self, mesh, offsets, smoothing):
-        """The mesh after one step, with its normals, triangle cosines and
-        side lengths.
+        """The mesh after one step, with its normals and side lengths.
 
         Each vertex of ``mesh`` moves by arclength ``offsets`` along the
         great circle through its normal; with ``smoothing`` > 0 it then
         moves toward its one-ring log-mean by that strength, and every
-        vertex is renormalised, moved or not.
+        vertex is renormalised, moved or not.  Right after the geometry
+        phase, before the new normals, this process checks the new mesh's
+        quality on the cosines and sides buffers (:func:`_check_shape`).
         """
         self._load(mesh, self.order)
         n = mesh.n_vertices
@@ -899,10 +912,18 @@ class Stepper:
         else:
             self.new[:n] = self.moved[:n]
         self.run(GEOMETRY)
+        _check_shape(self.cosines, self.sides)
         self.run(NORMALS)
         new = mesh.with_vertices(self.new[:n].copy(), normals=self.normals.copy())
-        new._shape = self.cosines.copy(), self.sides.copy()
+        new._sides = self.sides.copy()
         return new
+
+    def check(self, mesh):
+        """Raise MeshDegenerateError where ``mesh`` fails the quality check
+        of :meth:`step`."""
+        self._load(mesh, self.order)
+        self.run(GEOMETRY)
+        _check_shape(self.cosines, self.sides)
 
     def fit(self, mesh, order):
         """(hessian, cond, notspd) of the height fit at every vertex of

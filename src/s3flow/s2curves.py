@@ -235,9 +235,11 @@ def run_csf(curve: S2Curve, t_end, sigma=0.25, cadence=10) -> CsfResult:
     Each step obeys the parabolic bound dt <= sigma * (min ds)^2, and then
     the curve is resampled.  A collapse stops the run as Extinct; any other
     invalid curve, such as a NaN sample, as NumericalFailure, with ``detail``.
-    Raises ValueError, as FlowConfig does, for sigma outside (0, 1] or
-    cadence below 1.
+    Raises ValueError, as FlowConfig does, for t_end not positive (NaN
+    included; infinity is allowed), sigma outside (0, 1] or cadence below 1.
     """
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
     if not (0.0 < sigma <= 1.0):
         raise ValueError("sigma must lie in (0, 1]")
     if cadence < 1:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from s3flow import cli, flow, s2curves
+from s3flow import mesh as mesh_module
 from s3flow.cli import (
     ConfigError,
     build_curve,
@@ -64,10 +65,22 @@ def test_malformed_config_diagnostic(tmp_path, capsys):
         for line, message in (("sigma = 0", "sigma must lie in (0, 1]"),
                               ("sigma = 1.5", "sigma must lie in (0, 1]"),
                               ("cadence = 0", "cadence must be at least 1"),
-                              ("cadence = -5", "cadence must be at least 1")):
+                              ("cadence = -5", "cadence must be at least 1"),
+                              ("t_end = nan", "t_end must be positive")):
             p.write_text(f"[s]\n{kind}\n{line}\n")
             assert main(["run", str(p), "s", "--output-dir", str(tmp_path)]) == 1, line
             assert capsys.readouterr().err == f"error: {message}\n"
+    # each check of a flow setting fails on a NaN
+    for line, message in (("g_floor = nan", "g_floor must be positive"),
+                          ("speed_tol = nan", "speed_tol must be positive"),
+                          ("width_tol = nan", "width_tol must be positive"),
+                          ("smoothing = nan", "smoothing must be at least 0"),
+                          ("smoothing = -0.1", "smoothing must be at least 0"),
+                          ("fit_order = 3", "fit_order must be 2 or 4"),
+                          ("perturbation = nan", f"{p}: [s] perturbation must be at least 0")):
+        p.write_text(f"[s]\nkind = flow\nsurface = geodesic_sphere r=1.0 level=1\n{line}\n")
+        assert main(["run", str(p), "s", "--output-dir", str(tmp_path)]) == 1, line
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -419,10 +432,10 @@ def test_condition_breached_exits_2(tmp_path):
 
 
 def test_mesh_degenerate_exits_3(tmp_path, monkeypatch, capsys):
-    def collapse(mesh):
+    def collapse(cosines, sides):
         raise flow.MeshDegenerateError("edge collapsed")
 
-    monkeypatch.setattr(flow, "_check_degeneracy", collapse)
+    monkeypatch.setattr(mesh_module, "_check_shape", collapse)
     p = tmp_path / "cfg.cfg"
     p.write_text(
         "[sphere]\nkind = flow\nsurface = geodesic_sphere r=1.0 level=2\n"

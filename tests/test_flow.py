@@ -14,7 +14,6 @@ from s3flow.flow import (
     FlowState,
     MeshDegenerateError,
     StopReason,
-    _check_degeneracy,
     cfl_dt,
     epsilon_star,
     flow_step,
@@ -345,10 +344,28 @@ def _sliver(angle_deg, t=0.1):
     return SurfaceMesh(verts, [[0, 1, 2], [0, 2, 1]], normals=normals, validate=False)
 
 
+def _shape_tables(m):
+    """The corner cosines and side lengths of every triangle of ``m``."""
+    return mesh_module._triangle_shape(*mesh_module._corners(m.vertices, m.triangles,
+                                                             mesh_module.ALL))
+
+
 def test_degeneracy_check_at_one_degree():
     with pytest.raises(MeshDegenerateError, match=r"^minimum triangle angle 0\.900 deg < 1 deg$"):
-        _check_degeneracy(_sliver(0.9))
-    _check_degeneracy(_sliver(1.1))
+        mesh_module._check_shape(*_shape_tables(_sliver(0.9)))
+    mesh_module._check_shape(*_shape_tables(_sliver(1.1)))
+
+
+def test_initial_mesh_passes_the_quality_check():
+    # a great sphere, on which the arctan speed is 0, with a 0.2 deg corner:
+    # the run stops at once, not as Converged
+    sliver = _pushed(make_geodesic_sphere(np.pi / 2, 2), [0], by=0.995)
+    result = run_flow(sliver, FlowConfig(speed=arctan_speed(), t_end=0.2))
+    assert result.reason is StopReason.MESH_DEGENERATE
+    assert result.detail == "minimum triangle angle 0.202 deg < 1 deg"
+    assert result.final.step_index == 0
+    assert result.times.tolist() == [0.0]
+    assert len(result.reports) == 1
 
 
 # -- the step worker of a run ---------------------------------------------
@@ -401,12 +418,13 @@ def test_killed_fit_worker_raises_and_is_reaped(started, monkeypatch):
 def test_mesh_degenerate_stop_leaves_no_fit_worker(started, monkeypatch):
     checks = []
 
-    def collapse_on_third_step(mesh):
-        checks.append(mesh)
-        if len(checks) == 3:
+    def collapse_on_third_step(cosines, sides):
+        # the first check is of the initial mesh
+        checks.append(sides)
+        if len(checks) == 4:
             raise MeshDegenerateError("edge collapsed")
 
-    monkeypatch.setattr(flow, "_check_degeneracy", collapse_on_third_step)
+    monkeypatch.setattr(mesh_module, "_check_shape", collapse_on_third_step)
     result = run_flow(make_geodesic_sphere(np.pi / 3, 4), MCF_L4)
     assert result.reason is StopReason.MESH_DEGENERATE
     assert result.final.step_index == 2
@@ -501,7 +519,6 @@ def test_split_step_bit_identical_to_serial(case, monkeypatch):
         for st in (got, serial):
             assert np.array_equal(st.mesh.normals, fresh.normals)
             assert np.array_equal(st.mesh.side_lengths(), fresh.side_lengths())
-            assert np.array_equal(st.mesh.triangle_cosines(), fresh.triangle_cosines())
             for name in ("kappa1", "kappa2", "flagged"):
                 assert np.array_equal(getattr(st.curvature, name), getattr(want, name)), name
         assert np.array_equal(got.mesh.vertices, serial.mesh.vertices)
@@ -572,7 +589,6 @@ def test_phase_rerun_after_a_failed_half_bit_identical_to_serial(kernel, monkeyp
     assert np.array_equal(got.mesh.vertices, want.mesh.vertices)
     assert np.array_equal(got.mesh.normals, want.mesh.normals)
     assert np.array_equal(got.mesh.side_lengths(), want.mesh.side_lengths())
-    assert np.array_equal(got.mesh.triangle_cosines(), want.mesh.triangle_cosines())
     for name in ("kappa1", "kappa2", "flagged"):
         assert np.array_equal(getattr(got.curvature, name), getattr(want.curvature, name)), name
 

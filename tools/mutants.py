@@ -161,12 +161,13 @@ MUTANTS = [
            "self.normals[v] = _vertex_normals(self.moved,",
            (f"{T_FLOW}::test_split_step_bit_identical_to_serial",)),
     Mutant("degeneracy check on the parent's triangles only", MESH,
-           "new._shape = self.cosines.copy(), self.sides.copy()",
-           "new._shape = self.cosines[:len(self.cosines) // 2].copy(), self.sides.copy()",
+           "        _check_shape(self.cosines, self.sides)\n        self.run(NORMALS)\n",
+           "        _check_shape(self.cosines[:len(self.cosines) // 2], self.sides)\n"
+           "        self.run(NORMALS)\n",
            (f"{T_FLOW}::test_sliver_in_the_worker_half_stops_the_step",)),
     Mutant("sides of the parent's triangles only copied into the new mesh", MESH,
-           "new._shape = self.cosines.copy(), self.sides.copy()",
-           "new._shape = self.cosines.copy(), self.sides[:len(self.sides) // 2].copy()",
+           "new._sides = self.sides.copy()",
+           "new._sides = self.sides[:len(self.sides) // 2].copy()",
            (f"{T_MESH}::test_area_from_edge_lengths_matches_vertex_sum[perturbed-l3-stepped]",)),
     Mutant("the move writing over its own input", MESH,
            "        self.moved[v] = geodesic_step(self.new[v], self.normals[v], self.offsets[v])\n",
@@ -186,6 +187,16 @@ MUTANTS = [
     Mutant("cadence 0 accepted", FLOW,
            "        if self.cadence < 1:\n", "        if self.cadence < 0:\n",
            (f"{T_FLOW}::test_flow_config_validation",)),
+    Mutant("a positive-setting check back to <= 0.0", FLOW,
+           "            if not getattr(self, name) > 0.0:\n",
+           "            if getattr(self, name) <= 0.0:\n",
+           (f"{T_CLI}::test_malformed_config_diagnostic",)),
+    Mutant("any fit_order accepted", FLOW,
+           "        if self.fit_order not in (2, 4):\n", "        if False:\n",
+           (f"{T_CLI}::test_malformed_config_diagnostic",)),
+    Mutant("the initial mesh not checked", FLOW,
+           "        worker.check(mesh0)\n", "",
+           (f"{T_FLOW}::test_initial_mesh_passes_the_quality_check",)),
     Mutant("triangle indices parsed as floats", CLI,
            'records("t", np.int64)', 'records("t", float)',
            (f"{T_CLI}::test_raw4_malformed_line_named",)),
