@@ -84,10 +84,19 @@ _READ = {str: str.strip, int: int, float: float,
 _KEYS = {key: _READ[kind] for key, kind in get_type_hints(Scenario).items() if key != "name"}
 # the keys that are also FlowConfig fields, which a flow scenario passes on
 _FLOW_KEYS = [f.name for f in fields(FlowConfig) if f.name in _KEYS]
+# kind -> the keys that a scenario of that kind reads
+_READS = {kind: {"kind", "description", *keys} for kind, keys in {
+    "flow": ("surface", "perturbation", "seed", "exports", *_FLOW_KEYS),
+    "csf": ("curve", "t_end", "sigma", "cadence"),
+    "weiner": ("curves",),
+}.items()}
 
 
 def parse_config(path):
-    """Parse a scenario config file; raises ConfigError with location info."""
+    """Parse a scenario config file; raises ConfigError with location info,
+    also for a key that the section's kind does not read (``_READS``),
+    checked once the whole section is read, since ``kind`` may come last.
+    A key of the DEFAULT section reaches the sections whose kind reads it."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -100,7 +109,8 @@ def parse_config(path):
     scenarios = {}
     for section in cp.sections():
         sc = Scenario(name=section)
-        for key, raw in cp.items(section):
+        items = cp.items(section)
+        for key, raw in items:
             if key not in _KEYS:
                 raise ConfigError(f"{path}: [{section}] unknown key {key!r}")
             try:
@@ -109,6 +119,10 @@ def parse_config(path):
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
         if sc.kind not in _RUNNERS:
             raise ConfigError(f"{path}: [{section}] unknown kind {sc.kind!r}")
+        for key, _ in items:
+            if key not in _READS[sc.kind] and key not in cp.defaults():
+                raise ConfigError(
+                    f"{path}: [{section}] key {key!r} is not read by a {sc.kind} scenario")
         if not sc.perturbation >= 0.0:
             raise ConfigError(f"{path}: [{section}] perturbation must be at least 0")
         if sc.perturbation > 0.0 and sc.seed is None:

@@ -210,7 +210,9 @@ COS_MIN_ANGLE = float(np.cos(np.radians(1.0)))  # cosine of the smallest allowed
 
 
 def _check_shape(cosines, sides):
-    """Raise MeshDegenerateError for a side below 1e-6 rad or a corner below 1 deg."""
+    """Raise MeshDegenerateError for a side below 1e-6 rad or a corner below
+    1 deg, among the triangles whose tables of :func:`_triangle_shape` are
+    ``cosines`` and ``sides``; the message names the worst of them."""
     if float(sides.min()) < 1e-6:
         raise MeshDegenerateError(f"edge collapsed to {sides.min():.3e} rad")
     cos_max = float(cosines.max())
@@ -297,7 +299,8 @@ class SurfaceMesh:
     @cached_property
     def _sides(self):
         """The sides of :func:`_triangle_shape` over every triangle; geometry
-        is immutable, and a step sets the table it computed."""
+        is immutable, and a step, or the check of a run's start mesh, sets
+        the table it computed."""
         return _triangle_shape(*_corners(self.vertices, self.triangles, ALL))[1]
 
     def side_lengths(self):
@@ -321,12 +324,12 @@ class SurfaceMesh:
 
     def diameter_proxy(self):
         """Max pairwise geodesic distance among up to DIAMETER_SAMPLES
-        vertices."""
+        vertices: the arccos of their smallest dot product, one arccos since
+        arccos is decreasing."""
         n = self.n_vertices
         idx = np.linspace(0, n - 1, min(DIAMETER_SAMPLES, n)).astype(np.int64)
         pts = self.vertices[idx]
-        g = np.clip(pts @ pts.T, -1.0, 1.0)
-        return float(np.max(np.arccos(g)))
+        return float(np.arccos(np.clip(np.min(pts @ pts.T), -1.0, 1.0)))
 
 
 @dataclass
@@ -856,6 +859,9 @@ class Stepper:
     the same phases in two processes with bit-identical results.  What a
     phase writes depends only on tables it does not write, so a phase run
     again over all rows, after one half of it failed, is exact too.
+
+    The geometry phase checks the shape of the triangles it measures
+    (:func:`_check_shape`); their corner cosines are a temporary of it.
     """
 
     peak_rss_mb = None  # of a forked worker, once it has ended
@@ -875,7 +881,7 @@ class Stepper:
         self.offsets, self.strength = alloc(n), alloc(1)
         self.moved = alloc((n + 1, 4))
         self.face_normals = alloc((m + 1, 4))
-        self.cosines, self.sides = alloc((m, 3)), alloc((m, 3))
+        self.sides = alloc((m, 3))
         self.out = (alloc((n, 3)), alloc(n), alloc(n, bool))  # hessian, cond, notspd
 
     def run(self, phase):
@@ -897,9 +903,9 @@ class Stepper:
         Each vertex of ``mesh`` moves by arclength ``offsets`` along the
         great circle through its normal; with ``smoothing`` > 0 it then
         moves toward its one-ring log-mean by that strength, and every
-        vertex is renormalised, moved or not.  Right after the geometry
-        phase, before the new normals, this process checks the new mesh's
-        quality on the cosines and sides buffers (:func:`_check_shape`).
+        vertex is renormalised, moved or not.  The geometry phase raises
+        MeshDegenerateError where the new mesh fails the quality check, and
+        the new mesh keeps the side table that phase measured.
         """
         self._load(mesh, self.order)
         n = mesh.n_vertices
@@ -912,7 +918,6 @@ class Stepper:
         else:
             self.new[:n] = self.moved[:n]
         self.run(GEOMETRY)
-        _check_shape(self.cosines, self.sides)
         self.run(NORMALS)
         new = mesh.with_vertices(self.new[:n].copy(), normals=self.normals.copy())
         new._sides = self.sides.copy()
@@ -920,10 +925,11 @@ class Stepper:
 
     def check(self, mesh):
         """Raise MeshDegenerateError where ``mesh`` fails the quality check
-        of :meth:`step`."""
+        of :meth:`step`; otherwise ``mesh`` keeps the side table measured
+        for the check."""
         self._load(mesh, self.order)
         self.run(GEOMETRY)
-        _check_shape(self.cosines, self.sides)
+        mesh._sides = self.sides.copy()
 
     def fit(self, mesh, order):
         """(hessian, cond, notspd) of the height fit at every vertex of
@@ -957,7 +963,8 @@ class Stepper:
         f = self.parts[part][1]
         corners = _corners(self.new, self.topology.triangles, f)
         self.face_normals[f] = _face_normals(*corners)
-        self.cosines[f], self.sides[f] = _triangle_shape(*corners)
+        cosines, self.sides[f] = _triangle_shape(*corners)
+        _check_shape(cosines, self.sides[f])
 
     def _normals(self, part):
         v = self.parts[part][0]

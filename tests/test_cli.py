@@ -1,5 +1,6 @@
 import gc
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -109,6 +110,28 @@ def test_unknown_key_rejected(tmp_path, capsys):
             parse_config(str(p))
         assert main(["run", str(p), "s", "--output-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {p}: [s] unknown key '{key}'\n"
+    # a key that another kind reads; kind may come after it
+    circle = "latitude_circle theta=1.0 n=64"
+    for section, key, kind in (
+        ("kind = csf\ncurve = {c}\ng_floor = nan\nsmoothing = -3\nfit_order = 7\n"
+         "speed = nonsense\n", "g_floor", "csf"),
+        ("t_end = -1\nsurface = clifford nu=8 nv=8\ncurves = great_circle n=64 ; {c}\n"
+         "kind = weiner\n", "t_end", "weiner"),
+        ("kind = flow\nsurface = clifford nu=8 nv=8\ncurve = {c}\n"
+         "curves = great_circle n=64 ; {c}\n", "curve", "flow"),
+    ):
+        p.write_text("[s]\n" + section.format(c=circle))
+        message = f"[s] key '{key}' is not read by a {kind} scenario"
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            parse_config(str(p))
+        assert main(["run", str(p), "s", "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+    # a DEFAULT key reaches only the kinds that read it
+    p.write_text(f"[DEFAULT]\nt_end = 0.2\ng_floor = 0.3\n[f]\nsurface = clifford nu=8 nv=8\n"
+                 f"[c]\nkind = csf\ncurve = {circle}\n"
+                 f"[w]\nkind = weiner\ncurves = great_circle n=64 ; {circle}\n")
+    scenarios = parse_config(str(p))
+    assert (scenarios["f"].g_floor, scenarios["c"].t_end) == (0.3, 0.2)
 
 
 def test_perturbation_requires_seed(tmp_path):

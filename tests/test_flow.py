@@ -184,6 +184,15 @@ def test_sphere_mcf_run_matches_closed_form(sphere_mcf_run):
     assert np.all(np.array(errors) <= 2e-2)  # criterion 03's tolerance; NaN fails
 
 
+def test_sphere_mcf_stop_time_matches_closed_form(sphere_mcf_run):
+    # the exact sphere's diameter 2r reaches width_tol = 0.3 when
+    # cos 0.15 = cos(pi/3) e^(2t)
+    result, _, _ = sphere_mcf_run
+    exact = 0.5 * np.log(np.cos(0.15) / np.cos(np.pi / 3))
+    assert result.reason is StopReason.EXTINCT
+    assert abs(result.final.t - exact) / exact < 2e-3
+
+
 def test_flow_step_keeps_vertices_on_sphere():
     m = make_perturbed_sphere(np.pi / 3, 3, 0.02, seed=1)
     st = FlowState(0.0, m, estimate_curvature(m, order=2), 0)
@@ -368,6 +377,29 @@ def test_initial_mesh_passes_the_quality_check():
     assert len(result.reports) == 1
 
 
+def test_each_mesh_of_a_run_measured_once(monkeypatch):
+    # a mesh below PARALLEL_MIN_VERTICES, so every measurement is made here:
+    # one for the initial mesh, whose check hands its sides to the mesh,
+    # and one for each mesh a step makes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    m = make_geodesic_sphere(np.pi / 3, 2)
+    assert m.n_vertices < mesh_module.PARALLEL_MIN_VERTICES
+    calls = []
+    measure = mesh_module._triangle_shape
+
+    def counted(a, b, c):
+        calls.append(len(a))
+        return measure(a, b, c)
+
+    monkeypatch.setattr(mesh_module, "_triangle_shape", counted)
+    cfg = FlowConfig(speed=mcf(), t_end=0.02, smoothing=0.3, fit_order=2)
+    result = run_flow(m, cfg)
+    assert result.worker_peak_rss_mb is None
+    assert result.reason is StopReason.TIME_EXHAUSTED
+    assert result.final.step_index >= 2
+    assert calls == [len(m.triangles)] * (result.final.step_index + 1)
+
+
 # -- the step worker of a run ---------------------------------------------
 
 
@@ -419,9 +451,11 @@ def test_mesh_degenerate_stop_leaves_no_fit_worker(started, monkeypatch):
     checks = []
 
     def collapse_on_third_step(cosines, sides):
-        # the first check is of the initial mesh
+        # each process counts the checks of its own half; the first is of
+        # the initial mesh, and the parent checks all triangles once more
+        # after a half fails
         checks.append(sides)
-        if len(checks) == 4:
+        if len(checks) >= 4:
             raise MeshDegenerateError("edge collapsed")
 
     monkeypatch.setattr(mesh_module, "_check_shape", collapse_on_third_step)

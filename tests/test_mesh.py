@@ -407,6 +407,26 @@ def test_area_from_edge_lengths_matches_vertex_sum(name):
     assert m.area() == _vertex_lhuilier_area(m)
 
 
+def _gram_diameter(m):
+    """The diameter proxy as the largest arccos over the whole Gram matrix of
+    the sampled vertices."""
+    n = m.n_vertices
+    idx = np.linspace(0, n - 1, min(mesh_module.DIAMETER_SAMPLES, n)).astype(np.int64)
+    pts = m.vertices[idx]
+    return float(np.max(np.arccos(np.clip(pts @ pts.T, -1.0, 1.0))))
+
+
+# below DIAMETER_SAMPLES vertices, and a sphere with antipodal vertices
+DIAMETER_MESHES = {**AREA_MESHES, "sphere-l0": lambda: make_geodesic_sphere(0.2, 0),
+                   "great-sphere-l2": lambda: make_geodesic_sphere(np.pi / 2, 2)}
+
+
+@pytest.mark.parametrize("name", DIAMETER_MESHES)
+def test_diameter_proxy_takes_the_arccos_of_the_smallest_dot(name):
+    m = DIAMETER_MESHES[name]()
+    assert m.diameter_proxy() == _gram_diameter(m)
+
+
 @pytest.mark.parametrize("name", AREA_MESHES)
 def test_side_lengths_are_the_sides_opposite_each_corner(name):
     m = AREA_MESHES[name]()

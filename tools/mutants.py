@@ -152,6 +152,13 @@ MUTANTS = [
            "            return lambda h: getattr(build(node.value)(h), node.attr)\n"
            "        raise ValueError(f\"custom_fH: {ast.unparse(node)!r} is not allowed\")",
            ("tests/test_speeds.py::test_custom_fH_rejects_text_outside_its_grammar",)),
+    Mutant("a key its kind does not read accepted", CLI,
+           "            if key not in _READS[sc.kind] and key not in cp.defaults():\n",
+           "            if False:\n",
+           (f"{T_CLI}::test_unknown_key_rejected",)),
+    Mutant("a DEFAULT key checked against every kind", CLI,
+           " and key not in cp.defaults():\n", ":\n",
+           (f"{T_CLI}::test_unknown_key_rejected",)),
     Mutant("no speed check in parse_config", CLI,
            "                make_speed(sc.speed)\n", "                str(sc.speed)\n",
            (f"{T_CLI}::test_custom_speed_outside_the_grammar_rejected_at_load",)),
@@ -161,10 +168,12 @@ MUTANTS = [
            "self.normals[v] = _vertex_normals(self.moved,",
            (f"{T_FLOW}::test_split_step_bit_identical_to_serial",)),
     Mutant("degeneracy check on the parent's triangles only", MESH,
-           "        _check_shape(self.cosines, self.sides)\n        self.run(NORMALS)\n",
-           "        _check_shape(self.cosines[:len(self.cosines) // 2], self.sides)\n"
-           "        self.run(NORMALS)\n",
+           "        _check_shape(cosines, self.sides[f])\n",
+           "        if part != 1:\n            _check_shape(cosines, self.sides[f])\n",
            (f"{T_FLOW}::test_sliver_in_the_worker_half_stops_the_step",)),
+    Mutant("the start mesh's measured sides dropped", MESH,
+           "        mesh._sides = self.sides.copy()\n", "",
+           (f"{T_FLOW}::test_each_mesh_of_a_run_measured_once",)),
     Mutant("sides of the parent's triangles only copied into the new mesh", MESH,
            "new._sides = self.sides.copy()",
            "new._sides = self.sides[:len(self.sides) // 2].copy()",
@@ -263,6 +272,9 @@ MUTANTS = [
            "        if dev > 1e-10:\n            raise MeshError(f\"vertex off S3 by {dev:.3e}\")\n"
            "        ndev = unit_deviation(self.normals)\n        if ndev > 1e-8:\n",
            (f"{T_MESH}::test_nan_vertex_or_normal_rejected",)),
+    Mutant("diameter from the largest dot product", MESH,
+           "np.min(pts @ pts.T)", "np.max(pts @ pts.T)",
+           (f"{T_FLOW}::test_sphere_mcf_stop_time_matches_closed_form",)),
     Mutant("sphere builder's level check dropped", MESH,
            '    if level < 0:\n        raise ValueError("subdivision level must be >= 0")\n', "",
            (f"{T_MESH}::test_sphere_level_must_be_non_negative",)),
