@@ -41,6 +41,7 @@ from .flow import FlowConfig, StopReason, run_flow
 from .gaussmaps import gauss_maps
 from .mesh import SurfaceMesh, estimate_curvature
 from .s2curves import read_rows, write_rows
+from .s3core import row_norms
 from .speeds import make_speed
 
 OUTPUT_ROOT_ENV = "S3FLOW_OUTPUT_ROOT"
@@ -264,7 +265,7 @@ _POLE_CANDIDATES = [pole for e in np.eye(4) for pole in (0.0 - e, e)]
 
 def _select_pole(vertices):
     for pole in _POLE_CANDIDATES:
-        if np.min(np.linalg.norm(vertices - pole, axis=1)) > 1e-6:
+        if np.min(row_norms(vertices - pole)) > 1e-6:
             return pole
     raise ValueError("no stereographic pole clears every vertex")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .mesh import SurfaceMesh
 from .s2curves import S2Curve
-from .s3core import normalize, quat_conj, quat_mul
+from .s3core import normalize, quat_conj, quat_mul, row_norms
 
 REAL_TOL = 1e-6  # largest real part of a Gauss map product
 
@@ -81,7 +81,7 @@ def fiber_average_curve(points, grid_shape) -> S2Curve:
     nu, nv = grid_shape
     p = np.asarray(points, dtype=float).reshape(nu, nv, 3)
     mean = p.mean(axis=1)
-    norms = np.linalg.norm(mean, axis=1)
+    norms = row_norms(mean)
     if norms.min() < 0.5:
         raise ValueError(
             "image is not fiber-invariant (fiber mean collapsed toward zero)"

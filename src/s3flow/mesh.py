@@ -29,6 +29,7 @@ import numpy as np
 # log_map is not called here; it stays bound because perfbench/layers.py
 # wraps mesh.log_map by name
 from .s3core import (  # noqa: F401
+    chord_arc,
     cross4,
     geodesic_step,
     log_map,
@@ -193,8 +194,8 @@ def _triangle_shape(a, b, c):
     """Cosines of the Euclidean corner angles and geodesic side lengths of
     the triangles with corners ``a``, ``b``, ``c``: two (m, 3) tables whose
     column k belongs to corner k, the side being the one opposite it.  Both
-    come from the three chord norms; a side is geodesic_distance's
-    2 arcsin(|q - p| / 2)."""
+    come from the three chord norms; a side is ``chord_arc`` of its chord,
+    as in geodesic_distance."""
     ab, bc, ca = b - a, c - b, a - c
     lab, lbc, lca = row_norms(ab), row_norms(bc), row_norms(ca)
     cosines = np.stack([
@@ -203,7 +204,7 @@ def _triangle_shape(a, b, c):
         -np.einsum("nd,nd->n", ca, bc) / (lca * lbc),
     ], axis=1)
     chords = np.stack([lbc, lca, lab], axis=1)
-    return cosines, 2.0 * np.arcsin(np.clip(0.5 * chords, -1.0, 1.0))
+    return cosines, chord_arc(chords)
 
 
 COS_MIN_ANGLE = float(np.cos(np.radians(1.0)))  # cosine of the smallest allowed corner
@@ -399,8 +400,8 @@ def _icosphere(level):
         number[order] = np.arange(n, n + len(order))
         ends = e[first[order]]
         m = verts[ends[:, 0]] + verts[ends[:, 1]]
-        # the norm through matmul rounds as np.linalg.norm does on one
-        # vector; einsum and (m * m).sum(1) differ from it in the last bit
+        # the norm through matmul rounds as numpy's norm of one vector
+        # does; einsum and (m * m).sum(1) differ from it in the last bit
         m = m / np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
         verts = np.concatenate([verts, m])
         i, j, k = tris.T
@@ -799,7 +800,7 @@ def _tangential_smooth(xz, normals, topo, strength, rows):
     mean = np.einsum("nk,nkd->nd", ratio, y) / topo.one_ring_counts[rows, None]
     tang = mean - np.einsum("nd,nd->n", mean, nrm)[:, None] * nrm
     tang = tang - np.einsum("nd,nd->n", tang, x)[:, None] * x
-    s = strength * np.sqrt(np.einsum("nd,nd->n", tang, tang))
+    s = strength * row_norms(tang)
     move = s > 1e-14
     d = np.where(move[:, None], tang, np.array([1.0, 0.0, 0.0, 0.0]))
     d = d / row_norms(d, keepdims=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import MAX_STEPS, StopReason
-from .s3core import normalize
+from .s3core import chord_arc, normalize, row_norms, unit_deviation
 
 CSF_LENGTH_TOL = 0.05  # the length below which run_csf stops as Extinct
 WEINER_TOTAL_TOL = 0.05  # largest |total geodesic curvature| that weiner_check passes
@@ -41,13 +41,11 @@ class S2Curve:
             raise ValueError("samples must be an (n, 3) array")
         if len(s) < 8:
             raise ValueError(f"need at least 8 samples, got {len(s)}")
-        dev = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", s, s)) - 1.0))
+        dev = unit_deviation(s)
         if not dev <= 1e-10:  # written so that NaN fails, as below
             raise ValueError(f"sample off S2 by {dev:.3e}")
-        # the geodesic gap 2 arcsin(|chord| / 2), well conditioned at every angle
-        chord = np.diff(s, axis=0, append=s[:1])
-        half = 0.5 * np.sqrt(np.einsum("ij,ij->i", chord, chord))
-        gaps = 2.0 * np.arcsin(np.minimum(half, 1.0, out=half), out=half)
+        # the geodesic gap, measured as geodesic_distance and mesh sides are
+        gaps = chord_arc(row_norms(np.diff(s, axis=0, append=s[:1])))
         if not gaps.min() >= 1e-8:
             raise CurveCollapseError(f"degenerate segment of length {gaps.min():.3e}")
         if not gaps.max() <= 0.5:
@@ -127,33 +125,30 @@ def _cross(a, b):
 _NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _turning(p):
-    """Turning angles at the samples p of a closed polyline on S2.
+def _turning(curve: S2Curve):
+    """Turning angles at the samples of a closed polyline on S2.
 
     Returns (psi, ds, t_in, t_out): the signed turning angle at each sample,
-    the mean of the two adjacent segment lengths, and the unit tangents of
-    the incoming and outgoing segments.
+    the mean of the two adjacent segment lengths (the curve's gaps), and the
+    unit tangents of the incoming and outgoing segments.
 
-    The log map of each neighbour y of x is theta (y - <x, y> x) / |...|,
-    with theta = atan2(|y - <x, y> x|, <x, y>) its length, so the lengths
-    and the unit tangents of both neighbours come from one pass over the
-    two stacked.
+    The unit tangent at x toward a neighbour y is y - <x, y> x normalised,
+    so the tangents of both neighbours come from one pass over the two
+    stacked.
     """
+    p, gaps = curve.samples, curve.gaps
     y = np.empty((2,) + p.shape)
     y[0, :-1], y[0, -1] = p[1:], p[0]  # the next sample
     y[1, 1:], y[1, 0] = p[:-1], p[-1]  # the previous sample
     c = np.einsum("kij,ij->ki", y, p)
     d = y - c[:, :, None] * p
-    dn = np.sqrt(np.einsum("kij,kij->ki", d, d))
-    theta = np.arctan2(dn, c)
-    if theta.min() < 1e-12:
-        raise CurveCollapseError("degenerate segment in curve")
-    d /= dn[:, :, None]
+    d /= row_norms(d, keepdims=True)
     t_out = d[0]
     t_in = np.negative(d[1], out=d[1])
     psi = np.arctan2(np.einsum("ij,ij->i", p, _cross(t_in, t_out)),
                      np.einsum("ij,ij->i", t_in, t_out))
-    return psi, 0.5 * (theta[0] + theta[1]), t_in, t_out
+    # the outgoing gap plus the incoming one
+    return psi, 0.5 * (gaps + np.concatenate([gaps[-1:], gaps[:-1]])), t_in, t_out
 
 
 def geodesic_curvature(curve: S2Curve):
@@ -165,7 +160,7 @@ def geodesic_curvature(curve: S2Curve):
     adjacent segment lengths, and that mean itself.  The total turning
     sum(kappa_g * ds) is exactly the polygon angle defect.
     """
-    psi, ds, _, _ = _turning(curve.samples)
+    psi, ds, _, _ = _turning(curve)
     return psi / ds, ds
 
 
@@ -175,10 +170,8 @@ def resample_uniform(curve: S2Curve, n=None) -> S2Curve:
     if n is None:
         n = len(p)
     cum = np.concatenate([[0.0], np.cumsum(curve.gaps)])
-    total = cum[-1]
-    targets = total * np.arange(n) / n
-    idx = np.searchsorted(cum, targets, side="right") - 1
-    idx = np.clip(idx, 0, len(p) - 1)
+    targets = cum[-1] * np.arange(n) / n
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(p) - 1)
     # the angle of each segment, from the gaps, which are accurate at every
     # angle and at least 1e-8
     omega = curve.gaps[idx]
@@ -191,7 +184,7 @@ def resample_uniform(curve: S2Curve, n=None) -> S2Curve:
     w2 = np.sin(frac * omega)
     out = w1[:, None] * a
     out += w2[:, None] * b
-    out /= np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
+    out /= row_norms(out, keepdims=True)
     return S2Curve(out)
 
 
@@ -201,11 +194,11 @@ def csf_step(curve: S2Curve, dt) -> S2Curve:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     p = curve.samples
-    psi, ds, t_in, t_out = _turning(p)
+    psi, ds, t_in, t_out = _turning(curve)
     # the unit normal along the bisector of the two tangents, so that
     # kappa_g times it is the discrete curvature vector
     t_mid = np.add(t_in, t_out, out=t_in)
-    norm = np.sqrt(np.einsum("ij,ij->i", t_mid, t_mid))
+    norm = row_norms(t_mid)
     small = norm < 1e-12
     if small.any():
         t_mid[small] = t_out[small]
@@ -214,7 +207,7 @@ def csf_step(curve: S2Curve, dt) -> S2Curve:
     s = psi / ds * dt
     moved = np.cos(s)[:, None] * p
     moved += np.sin(s)[:, None] * _cross(p, t_mid)
-    moved /= np.sqrt(np.einsum("ij,ij->i", moved, moved))[:, None]
+    moved /= row_norms(moved, keepdims=True)
     return S2Curve(moved)
 
 

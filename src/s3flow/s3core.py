@@ -119,12 +119,17 @@ def geodesic_step(x, d, s):
     return normalize(out)
 
 
+def chord_arc(chords):
+    """Geodesic lengths 2 arcsin(c / 2) of chords c >= 0 of a unit sphere, the
+    one formula of every geodesic length; pi where rounding puts c above 2."""
+    return 2.0 * np.arcsin(np.minimum(0.5 * chords, 1.0))
+
+
 def geodesic_distance(a, b):
     """Geodesic distance on the unit sphere (any dimension, well-conditioned)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    chord = row_norms(a - b)
-    return 2.0 * np.arcsin(np.clip(0.5 * chord, -1.0, 1.0))
+    return chord_arc(row_norms(a - b))
 
 
 def log_map(x, y):

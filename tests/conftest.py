@@ -37,9 +37,9 @@ def nan_on_third_curve_step(monkeypatch):
     turns = []
     turning = s2curves._turning
 
-    def nan_on_third(p):
-        turns.append(p)
-        psi, ds, t_in, t_out = turning(p)
+    def nan_on_third(curve):
+        turns.append(curve)
+        psi, ds, t_in, t_out = turning(curve)
         if len(turns) == 3:
             psi[5] = np.nan
         return psi, ds, t_in, t_out

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import os
 import signal
 
@@ -229,6 +230,59 @@ def test_sphere_mcf_extinction_small():
     assert res.reason is StopReason.EXTINCT
     exact = 0.5 * np.log(2.0)
     assert abs(res.final.t - exact) / exact < 5e-2
+
+
+def _dichotomy_surface(delta):
+    """A level-3 sphere of radius pi/2 + 0.05 g(u) + delta q(u) about 1, with
+    g a cubic form from a seed-0 symmetric 3-tensor (odd: g(-u) = -g(u),
+    so with delta = 0 the surface is its own antipode) and q a seeded
+    quadratic form, each scaled to max |.| = 1 over the directions."""
+    rng = np.random.default_rng(0)
+    t = rng.standard_normal((3, 3, 3))
+    t = sum(t.transpose(axes) for axes in itertools.permutations(range(3))) / 6.0
+    q = rng.standard_normal((3, 3))
+    q = 0.5 * (q + q.T)
+
+    def bump(d):
+        g = np.einsum("ijk,ni,nj,nk->n", t, d, d, d)
+        even = np.einsum("ij,ni,nj->n", q, d, d)
+        return 0.05 * g / np.abs(g).max() + delta * even / np.abs(even).max()
+
+    verts, tris, _ = mesh_module._sphere(np.pi / 2, 3, None, bump)
+    return SurfaceMesh(verts, tris)
+
+
+def _dichotomy_run(delta):
+    cfg = FlowConfig(speed=arctan_speed(), t_end=10.0, sigma=0.7, width_tol=0.4,
+                     smoothing=0.3, fit_order=2, cadence=5)
+    res = run_flow(_dichotomy_surface(delta), cfg)
+    # G > 0 is preserved: no report's min G falls below the first one's
+    assert min(r.min_G for r in res.reports) >= res.reports[0].min_G
+    return res
+
+
+def test_odd_surface_converges_to_a_great_sphere():
+    # Theorem 1's first branch: a surface that is its own antipode cannot
+    # shrink to a point, so with G > 0 it converges to a great sphere
+    res = _dichotomy_run(0.0)
+    assert res.reason is StopReason.CONVERGED
+    assert res.final.t == pytest.approx(1.35051, rel=1e-4)
+    last = res.reports[-1]
+    assert abs(last.area - 4.0 * np.pi) <= 1e-8 * 4.0 * np.pi
+    assert last.max_normA2 <= 1e-9
+
+
+def test_even_part_ends_extinct_at_the_rate_of_the_great_sphere():
+    # Theorem 1's other branch: an even part breaks the symmetry and the
+    # surface shrinks to a point; near the great sphere F = pi - 2r, so the
+    # offset grows as e^{2t}, and a tenth of it takes (1/2) ln 10 longer
+    ends = {}
+    for delta, want in [(1e-2, 3.20956), (1e-3, 4.35776)]:
+        res = _dichotomy_run(delta)
+        assert res.reason is StopReason.EXTINCT
+        assert res.final.t == pytest.approx(want, rel=1e-4)
+        ends[delta] = res.final.t
+    assert ends[1e-3] - ends[1e-2] == pytest.approx(0.5 * np.log(10.0), rel=1e-2)
 
 
 def test_time_exhausted_and_monotone_time():

@@ -491,6 +491,46 @@ def test_fit_matches_per_vertex_lstsq(build, order):
     np.testing.assert_allclose(c.kappa2, ref[:, 1], rtol=0, atol=1e-10)
 
 
+def _mixed_areas(m):
+    """The mixed areas of Meyer, Desbrun, Schroeder and Barr on the chordal
+    triangles in R4: a non-obtuse triangle gives each corner its Voronoi
+    part, an obtuse one A/2 to the obtuse corner and A/4 to the others."""
+    p = m.vertices[m.triangles]  # (m, 3, 4)
+    u = np.roll(p, -1, axis=1) - p  # from corner k to corner k + 1
+    v = np.roll(p, 1, axis=1) - p  # from corner k to corner k - 1
+    uu, vv, uv = (np.einsum("mkd,mkd->mk", a, b) for a, b in [(u, u), (v, v), (u, v)])
+    twice_area = np.sqrt(uu * vv - uv ** 2)
+    cot = uv / twice_area
+    # the side to k + 1 is opposite corner k + 2, the side to k - 1 corner k + 1
+    voronoi = (uu * np.roll(cot, -2, axis=1) + vv * np.roll(cot, -1, axis=1)) / 8.0
+    obtuse = uv < 0.0
+    share = np.where(obtuse.any(axis=1, keepdims=True),
+                     np.where(obtuse, 0.5, 0.25) * twice_area[:, :1] / 2.0, voronoi)
+    out = np.zeros(m.n_vertices)
+    np.add.at(out, m.triangles, share)
+    return out
+
+
+GAUSS_BONNET_FAMILIES = {  # the build, its three resolutions and the Euler characteristic
+    "sphere": (lambda level: make_geodesic_sphere(np.pi / 3, level), (2, 3, 4), 2),
+    "hopf": (lambda n: make_hopf_torus(make_latitude_circle(1.0, n), n // 2), (32, 64, 128), 0),
+}
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("family", GAUSS_BONNET_FAMILIES)
+def test_gauss_bonnet_residual_falls_with_the_mesh(family, order):
+    # sum G_i A_i - 2 pi chi of the fit's G: the smallest fall per level
+    # measured is 4.0x, on the order-4 spheres
+    build, sizes, chi = GAUSS_BONNET_FAMILIES[family]
+    residuals = []
+    for size in sizes:
+        m = build(size)
+        residuals.append(estimate_curvature(m, order=order).G @ _mixed_areas(m) - 2.0 * np.pi * chi)
+    residuals = np.abs(residuals)
+    assert np.all(residuals[1:] * 3.0 <= residuals[:-1]), residuals
+
+
 @pytest.mark.parametrize("order", [2, 4])
 def test_fit_blocks_independent_of_block_layout(order):
     # each vertex is fitted on its own, so neither where the blocks start nor

@@ -264,9 +264,16 @@ def assert_close(got, want):
 
 @pytest.mark.parametrize("name", REFERENCE_CURVES)
 def test_turning_matches_log_map_reference(name):
-    p = REFERENCE_CURVES[name]().samples
-    for got, want in zip(_turning(p), _turning_reference(p)):
+    c = REFERENCE_CURVES[name]()
+    for got, want in zip(_turning(c), _turning_reference(c.samples)):
         assert_close(got, want)
+
+
+@pytest.mark.parametrize("name", REFERENCE_CURVES)
+def test_gaps_bit_equal_to_geodesic_distance(name):
+    # a curve's segments and a mesh's sides are one measurement
+    p = REFERENCE_CURVES[name]().samples
+    assert np.array_equal(S2Curve(p).gaps, geodesic_distance(p, np.roll(p, -1, axis=0)))
 
 
 @pytest.mark.parametrize("resample", [True, False], ids=["resampled", "not-resampled"])

@@ -162,11 +162,14 @@ def test_geodesic_distance_matches_arccos():
     rng = np.random.default_rng(10)
     a = random_unit(rng, 100)
     b = random_unit(rng, 100)
-    np.testing.assert_allclose(
-        geodesic_distance(a, b),
-        np.arccos(np.clip(np.sum(a * b, axis=1), -1, 1)),
-        atol=1e-9,
-    )
+    c = random_unit(rng, 1000)
+    # antipodes: rounding puts some chords above 2, where arcsin(c / 2) is
+    # NaN without the kernel's cap, and the arc is ill-conditioned
+    for p, q, atol in [(a, b, 1e-9), (c, -c, 1e-7)]:
+        d = geodesic_distance(p, q)
+        assert np.all(np.isfinite(d))
+        np.testing.assert_allclose(d, np.arccos(np.clip(np.sum(p * q, axis=1), -1, 1)),
+                                   rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("shape", [(1000, 4), (1000, 3), (64, 18, 4)])

@@ -294,9 +294,24 @@ MUTANTS = [
            "np.stack([QUAT_I, QUAT_J, QUAT_K])", "np.stack([QUAT_J, QUAT_I, QUAT_K])",
            (f"{T_MESH}::test_sphere_about_c_is_c_times_the_sphere_about_1",)),
     Mutant("smoothing weight x (1 + 1e-7)", MESH,
-           "    s = strength * np.sqrt(", "    s = strength * (1.0 + 1e-7) * np.sqrt(",
+           "    s = strength * row_norms(tang)\n",
+           "    s = strength * (1.0 + 1e-7) * row_norms(tang)\n",
            (f"{T_GOLDEN}::test_flow_scenario_matches_golden[sphere-mcf-shrink]",
             f"{T_GOLDEN}::test_flow_scenario_matches_golden[perturbed-sphere-theorem1]")),
+    # one chord-to-arc kernel for every geodesic length, curves' and meshes'
+    Mutant("chord kernel without its cap at 1", CORE,
+           "    return 2.0 * np.arcsin(np.minimum(0.5 * chords, 1.0))\n",
+           "    return 2.0 * np.arcsin(0.5 * chords)\n",
+           (f"{T_CORE}::test_geodesic_distance_matches_arccos",)),
+    Mutant("curve gaps through einsum again", CURVES,
+           "        gaps = chord_arc(row_norms(np.diff(s, axis=0, append=s[:1])))\n",
+           "        chord = np.diff(s, axis=0, append=s[:1])\n"
+           "        gaps = chord_arc(np.sqrt(np.einsum(\"ij,ij->i\", chord, chord)))\n",
+           (f"{T_CURVES}::test_gaps_bit_equal_to_geodesic_distance",)),
+    Mutant("turning arclength from the outgoing gap only", CURVES,
+           "    return psi, 0.5 * (gaps + np.concatenate([gaps[-1:], gaps[:-1]])), t_in, t_out\n",
+           "    return psi, gaps, t_in, t_out\n",
+           (f"{T_CURVES}::test_turning_matches_log_map_reference",)),
 ]
 
 
