@@ -166,33 +166,27 @@ def cfl_dt(mesh: SurfaceMesh, curvature: CurvatureData, speed: SpeedFunction, si
     return min(sigma * h_min * h_min / max(lam, LAMBDA_FLOOR), DT_MAX)
 
 
-def flow_step(state: FlowState, speed: SpeedFunction, dt,
-              smoothing=0.0, fit_order=2, worker: Stepper = None,
+def flow_step(state: FlowState, speed: SpeedFunction, dt, stepper: Stepper,
               speed_values=None) -> FlowState:
     """One explicit step: every vertex moves along the great circle through
     its outward normal by arclength -F dt; normals and curvature are then
     recomputed from the new geometry.  The step raises MeshDegenerateError
     where the new mesh fails the quality check (:meth:`mesh.Stepper.step`).
 
-    ``worker`` is the :class:`mesh.Stepper` (or step worker) of the run,
-    which also runs the fit; by default the step runs in this process.
+    ``stepper`` is the run's :class:`mesh.Stepper` (or step worker), made
+    with its fit order and smoothing; it also runs the fit.
     ``speed_values`` is F at the state's curvature, when the caller has
     evaluated it already.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    mesh = state.mesh
-    curv = state.curvature
     if speed_values is None:
-        speed_values = speed.eval(curv.kappa1, curv.kappa2)
-    f = np.asarray(speed_values, dtype=float)
-    if worker is None:
-        worker = Stepper(mesh, fit_order)
-    new_mesh = worker.step(mesh, -f * dt, smoothing)
+        speed_values = speed.eval(state.curvature.kappa1, state.curvature.kappa2)
+    new_mesh = stepper.step(state.mesh, -np.asarray(speed_values, dtype=float) * dt)
     return FlowState(
         t=state.t + dt,
         mesh=new_mesh,
-        curvature=estimate_curvature(new_mesh, order=fit_order, worker=worker),
+        curvature=estimate_curvature(new_mesh, order=stepper.order, worker=stepper),
         step_index=state.step_index + 1,
     )
 
@@ -222,17 +216,18 @@ def run_flow(mesh0: SurfaceMesh, config: FlowConfig) -> FlowResult:
     ``FlowResult.worker_peak_rss_mb`` keeps its peak RSS.
     """
     mesh0 = mesh0.with_vertices(mesh0.vertices)
-    worker = step_worker(mesh0, config.fit_order) or Stepper(mesh0, config.fit_order)
+    settings = (mesh0, config.fit_order, config.smoothing)
+    stepper = step_worker(*settings) or Stepper(*settings)
     try:
-        result = _run(mesh0, config, worker)
+        result = _run(mesh0, config, stepper)
     finally:
-        worker.close()
-    result.worker_peak_rss_mb = worker.peak_rss_mb
+        stepper.close()
+    result.worker_peak_rss_mb = stepper.peak_rss_mb
     return result
 
 
-def _run(mesh0, config, worker):
-    curvature = estimate_curvature(mesh0, order=config.fit_order, worker=worker)
+def _run(mesh0, config, stepper):
+    curvature = estimate_curvature(mesh0, order=stepper.order, worker=stepper)
     state = FlowState(0.0, mesh0, curvature, 0)
     times = []
     reports = []
@@ -249,7 +244,7 @@ def _run(mesh0, config, worker):
     # F once per state, for its report, the Converged check and the step
     f = config.speed.eval(curvature.kappa1, curvature.kappa2)
     try:
-        worker.check(mesh0)
+        stepper.check(mesh0)
         while True:
             record(state, f)
             _check_finite(state.step_index, vertices=state.mesh.vertices,
@@ -270,8 +265,7 @@ def _run(mesh0, config, worker):
             dt = min(cfl_dt(state.mesh, state.curvature, config.speed, config.sigma),
                      config.t_end - state.t)
             _check_finite(state.step_index, dt=dt)
-            state = flow_step(state, config.speed, dt, smoothing=config.smoothing,
-                              fit_order=config.fit_order, worker=worker, speed_values=f)
+            state = flow_step(state, config.speed, dt, stepper, speed_values=f)
             f = config.speed.eval(state.curvature.kappa1, state.curvature.kappa2)
     except MeshDegenerateError as exc:
         reason, detail = StopReason.MESH_DEGENERATE, str(exc)

@@ -684,6 +684,9 @@ def fit_block_rows(order, k):
     return max(1, FIT_BLOCK_BYTES // (8 * columns * k))
 
 
+COND_LIMIT = 1e8  # condition proxy above which a vertex's fit is flagged
+
+
 def _fit_block(frame, y, counts, order):
     """Height fit at a block of vertices.
 
@@ -745,8 +748,11 @@ def _fit_block(frame, y, counts, order):
 
 def _fit_blocks(xz, normals, topology, order, out, rows, block):
     """Fit the vertices ``rows`` (a slice) of ``xz`` (padded, see :func:`padded`)
-    with normals ``normals`` into ``out`` = (hessian, cond, notspd), in
+    with normals ``normals`` into ``out`` = (kappa1, kappa2, flagged), in
     round(len / block) blocks, at least one, of equal lengths to a row.
+    The flags and the eigenvalues kappa1 >= kappa2 of the negated Hessian are
+    taken over all rows at once: per block, they added about 6% to an
+    order-4 fit of a level-4 sphere.
 
     :func:`_fit_block` treats each vertex on its own, so the results do not
     depend on where the blocks start or how long they are.
@@ -757,12 +763,16 @@ def _fit_blocks(xz, normals, topology, order, out, rows, block):
     frames = _frames(xz[rows], normals[rows], np.take(xz, ring[rows, 0], axis=0))
     r = rows.stop - rows.start
     count = max(1, round(r / block))
-    for i in range(count):
-        b = slice(rows.start + r * i // count, rows.start + r * (i + 1) // count)
-        fitted = _fit_block(frames[b.start - rows.start:b.stop - rows.start],
-                            np.take(xz, ring[b], axis=0), topology.ring_counts[b], order)
-        for dst, src in zip(out, fitted):
-            dst[b] = src
+    ends = [rows.start + r * i // count for i in range(count + 1)]
+    fits = [_fit_block(frames[a - rows.start:b - rows.start], np.take(xz, ring[a:b], axis=0),
+                       topology.ring_counts[a:b], order) for a, b in zip(ends, ends[1:])]
+    hessian, cond, notspd = (np.concatenate(parts) for parts in zip(*fits))
+    flagged = (topology.ring_counts[rows] < 5) | notspd | ~np.isfinite(cond) | (cond > COND_LIMIT)
+    flagged |= ~np.all(np.isfinite(hessian), axis=1)
+    s11, s12, s22 = -hessian.T
+    mean = 0.5 * (s11 + s22)
+    delta = np.hypot(0.5 * (s11 - s22), s12)
+    out[0][rows], out[1][rows], out[2][rows] = mean + delta, mean - delta, flagged
 
 
 def _frames(x, nu, y):
@@ -808,21 +818,10 @@ def _tangential_smooth(xz, normals, topo, strength, rows):
     return normalize(np.cos(s)[:, None] * x + np.sin(s)[:, None] * d)
 
 
-COND_LIMIT = 1e8  # condition proxy above which a vertex's fit is flagged
-
-
-def _curvature(topology, hessian, cond, notspd):
-    """CurvatureData from the fit at every vertex (see estimate_curvature)."""
-    flagged = (topology.ring_counts < 5) | notspd | ~np.isfinite(cond) | (cond > COND_LIMIT)
-    flagged |= ~np.all(np.isfinite(hessian), axis=1)
-    a, b, c = hessian.T
-
-    s11, s12, s22 = -a, -b, -c
-    mean = 0.5 * (s11 + s22)
-    delta = np.hypot(0.5 * (s11 - s22), s12)
-    kappa1 = mean + delta
-    kappa2 = mean - delta
-
+def _curvature(topology, kappa1, kappa2, flagged):
+    """CurvatureData from copies of the fit's output at every vertex, where
+    flagged vertices inherit from their one-ring (see estimate_curvature)."""
+    kappa1, kappa2, flagged = kappa1.copy(), kappa2.copy(), flagged.copy()
     if np.any(flagged):
         # the mean over the unflagged one-ring, NaN with none to inherit
         # from; np.where keeps a NaN at a flagged neighbour out of the sum
@@ -834,7 +833,6 @@ def _curvature(topology, hessian, cond, notspd):
         total = np.where(ok[:, :, None], kk, 0.0).sum(axis=1)
         inherited = np.divide(total, count, out=np.full(total.shape, np.nan), where=count > 0)
         kappa1[idx], kappa2[idx] = inherited.T
-
     return CurvatureData(kappa1=kappa1, kappa2=kappa2, flagged=flagged)
 
 
@@ -848,8 +846,8 @@ WHOLE = 2  # the part that is every row; parts 0 and 1 are the two halves
 
 
 class Stepper:
-    """One explicit flow step on the topology of ``mesh``, run phase by phase
-    in this process.
+    """One explicit flow step on the topology of ``mesh``, with the run's fit
+    ``order`` and ``smoothing`` fixed here, run phase by phase in this process.
 
     The buffers hold the inputs and outputs of every phase, one copy of
     each table; the vertex buffers carry a zero row at index n for the
@@ -867,10 +865,11 @@ class Stepper:
 
     peak_rss_mb = None  # of a forked worker, once it has ended
 
-    def __init__(self, mesh, order, alloc=np.zeros):
+    def __init__(self, mesh, order, smoothing=0.0, alloc=np.zeros):
         topo = self.topology = mesh.topology
         self.mesh = mesh
         self.order = order
+        self.smoothing = smoothing
         n, m = topo.n_vertices, len(topo.triangles)
         self.block = fit_block_rows(order, topo.two_ring_padded.shape[1])
         # vertex and triangle rows of each part
@@ -878,12 +877,11 @@ class Stepper:
                       for i, j in ((0, 1), (1, 2), (0, 2))]
         # the mesh that a step moves or a fit reads, and then the new mesh
         self.new, self.normals = alloc((n + 1, 4)), alloc((n, 4))
-        # the arclength each vertex moves along its normal, the smoothing strength
-        self.offsets, self.strength = alloc(n), alloc(1)
+        self.offsets = alloc(n)  # the arclength each vertex moves along its normal
         self.moved = alloc((n + 1, 4))
         self.face_normals = alloc((m + 1, 4))
         self.sides = alloc((m, 3))
-        self.out = (alloc((n, 3)), alloc(n), alloc(n, bool))  # hessian, cond, notspd
+        self.out = (alloc(n), alloc(n), alloc(n, bool))  # kappa1, kappa2, flagged
 
     def run(self, phase):
         self._phases[phase](self, WHOLE)
@@ -891,29 +889,28 @@ class Stepper:
     def close(self):
         pass
 
-    def _load(self, mesh, order):
+    def _load(self, mesh):
         """Copy ``mesh`` into ``new`` and ``normals``, which the move and the fit read."""
-        if mesh.topology is not self.topology or order != self.order:
-            raise ValueError("stepper was made for another topology or fit order")
+        if mesh.topology is not self.topology:
+            raise ValueError("stepper was made for another topology")
         self.new[:mesh.n_vertices] = mesh.vertices
         self.normals[...] = mesh.normals
 
-    def step(self, mesh, offsets, smoothing):
+    def step(self, mesh, offsets):
         """The mesh after one step, with its normals and side lengths.
 
         Each vertex of ``mesh`` moves by arclength ``offsets`` along the
-        great circle through its normal; with ``smoothing`` > 0 it then
-        moves toward its one-ring log-mean by that strength, and every
-        vertex is renormalised, moved or not.  The geometry phase raises
-        MeshDegenerateError where the new mesh fails the quality check, and
-        the new mesh keeps the side table that phase measured.
+        great circle through its normal; with the stepper's ``smoothing``
+        > 0 it then moves toward its one-ring log-mean by that strength, and
+        every vertex is renormalised, moved or not.  The geometry phase
+        raises MeshDegenerateError where the new mesh fails the quality
+        check, and the new mesh keeps the side table that phase measured.
         """
-        self._load(mesh, self.order)
+        self._load(mesh)
         n = mesh.n_vertices
         self.offsets[...] = offsets
-        self.strength[0] = smoothing
         self.run(MOVE)
-        if smoothing > 0.0:
+        if self.smoothing > 0.0:
             self.run(MOVED_FACES)
             self.run(SMOOTH)
         else:
@@ -928,15 +925,14 @@ class Stepper:
         """Raise MeshDegenerateError where ``mesh`` fails the quality check
         of :meth:`step`; otherwise ``mesh`` keeps the side table measured
         for the check."""
-        self._load(mesh, self.order)
+        self._load(mesh)
         self.run(GEOMETRY)
         mesh._sides = self.sides.copy()
 
-    def fit(self, mesh, order):
-        """(hessian, cond, notspd) of the height fit at every vertex of
-        ``mesh``: views of the buffers, which the next step or fit
-        overwrites."""
-        self._load(mesh, order)
+    def fit(self, mesh):
+        """(kappa1, kappa2, flagged) of the fit at every vertex of ``mesh``,
+        before flagged vertices inherit: buffers that the next fit overwrites."""
+        self._load(mesh)
         self.run(FIT)
         return self.out
 
@@ -958,7 +954,7 @@ class Stepper:
         # perfbench counts the moved mesh's normals as a with_vertices call
         self.mesh.with_vertices(self.moved[:-1], normals=self.normals)
         self.new[v] = _tangential_smooth(self.moved, self.normals, self.topology,
-                                         self.strength[0], v)
+                                         self.smoothing, v)
 
     def _geometry(self, part):
         f = self.parts[part][1]
@@ -1014,15 +1010,16 @@ class StepWorker(Stepper):
     takes part 1 of each, the parent part 0.
 
     The buffers live in anonymous shared mappings made before the fork, so
-    nothing is pickled; one byte on a pipe starts the worker's part of a
-    phase, and one byte back reports it done (b"d") or failed (b"e").  A
-    phase that fails in either process runs again over all rows in the
-    parent, which raises the error the serial step raises.  When the
-    command pipe ends, the worker leaves; :meth:`close` reaps it with
-    ``os.wait4`` and keeps the ``ru_maxrss`` of its resource usage as
-    ``peak_rss_mb``.  The worker is pinned to ``cpu``: where the kernel does
-    not balance load between CPUs, a forked process stays on its parent's
-    CPU and the two share it.
+    nothing is pickled; they hold per-step data only, and the run's
+    settings reach the worker with the fork.  One byte on a pipe starts
+    the worker's part of a phase, and one byte back reports it done (b"d")
+    or failed (b"e").  A phase that fails in either process runs again
+    over all rows in the parent, which raises the error the serial step
+    raises.  When the command pipe ends, the worker leaves; :meth:`close`
+    reaps it with ``os.wait4`` and keeps the ``ru_maxrss`` of its resource
+    usage as ``peak_rss_mb``.  The worker is pinned to ``cpu``: where the
+    kernel does not balance load between CPUs, a forked process stays on
+    its parent's CPU and the two share it.
 
     The split is fixed rather than balanced (a process that finishes early
     taking rows left over): with a share that changed from step to step,
@@ -1040,8 +1037,8 @@ class StepWorker(Stepper):
 
     _open = set()  # the parent's pipe ends of every open worker
 
-    def __init__(self, mesh, order, cpu):
-        super().__init__(mesh, order, alloc=_shared)
+    def __init__(self, mesh, order, smoothing, cpu):
+        super().__init__(mesh, order, smoothing, alloc=_shared)
         self.cpu = cpu
         fds = []
         try:
@@ -1141,13 +1138,14 @@ def _current_cpu():
         return None
 
 
-def step_worker(mesh, order):
-    """The step worker for a flow from ``mesh`` with the fit at ``order``,
-    pinned to the lowest CPU of this process's affinity mask other than the
-    one this process runs on.  None where the step stays in one process:
-    one CPU, no ``os.fork``, fewer than PARALLEL_MIN_VERTICES vertices, a
-    second Python thread running, or a worker that could not be started
-    (``os.fork`` or a pipe or mapping refused).  The caller closes it."""
+def step_worker(mesh, order, smoothing=0.0):
+    """The step worker for a flow from ``mesh`` with the fit at ``order``
+    and tangential ``smoothing``, pinned to the lowest CPU of this process's
+    affinity mask other than the one it runs on.  None where the step stays
+    in one process: one CPU, no ``os.fork``, fewer than
+    PARALLEL_MIN_VERTICES vertices, a second Python thread running, or a
+    worker that could not be started (``os.fork`` or a pipe or mapping
+    refused).  The caller closes it."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
     cpus = os.sched_getaffinity(0)
@@ -1156,7 +1154,7 @@ def step_worker(mesh, order):
     if threading.active_count() > 1:
         return None
     try:
-        return StepWorker(mesh, order, min(cpus - {_current_cpu()}))
+        return StepWorker(mesh, order, smoothing, min(cpus - {_current_cpu()}))
     except OSError:
         return None
 
@@ -1174,20 +1172,20 @@ def estimate_curvature(mesh: SurfaceMesh, order=4, worker: Stepper = None) -> Cu
     for that fall back to the plain quadric.
 
     The normal equations are solved by a batched Cholesky factorisation
-    M = L L^T.  Its condition proxy is the squared ratio of the extreme
-    Cholesky pivots, max(diag L)^2 / min(diag L)^2: an adequate stand-in
-    for the condition number of M when flagging fits.  A vertex whose M is
-    not positive definite (Cholesky refuses it) is flagged on its own; the
-    other vertices of the batch are solved as usual.  Vertices with fewer
-    than 5 usable neighbours, a matrix that is not positive definite, a
-    condition proxy above COND_LIMIT or a non-finite solution are
-    flagged and inherit the average curvature of their unflagged one-ring
-    neighbours; with none to inherit from, their curvature is NaN.
+    M = L L^T; the squared ratio of its extreme pivots, max(diag L)^2 /
+    min(diag L)^2, stands in for the condition number of M.  A vertex is
+    flagged where it has fewer than 5 usable neighbours, Cholesky refuses
+    its M (the other vertices of the batch are solved as usual), the
+    condition proxy is above COND_LIMIT or the solution is not finite.  A
+    flagged vertex inherits the average curvature of its unflagged
+    one-ring neighbours; with none to inherit from, its curvature is NaN.
 
     ``worker``, a :class:`Stepper` or :func:`step_worker` for this mesh's
-    topology and ``order``, runs the fit; a worker's result is
-    bit-identical to the serial fit.
+    topology, runs the fit; a worker's result is bit-identical to the
+    serial fit.  Raises ValueError where it was made for another order.
     """
     if worker is None:
         worker = Stepper(mesh, order)
-    return _curvature(mesh.topology, *worker.fit(mesh, order))
+    elif worker.order != order:
+        raise ValueError(f"stepper was made for fit order {worker.order}, not {order}")
+    return _curvature(mesh.topology, *worker.fit(mesh))

@@ -338,8 +338,11 @@ def weiner_check(gamma1: S2Curve, gamma2: S2Curve) -> WeinerReport:
 
 def hausdorff_distance(c1: S2Curve, c2: S2Curve):
     """Symmetric geodesic Hausdorff distance between two closed curves,
-    measured after uniform arclength resampling of both."""
+    measured after uniform arclength resampling of both: each sample's
+    nearest partner, by dot product, is measured by its chord."""
     a = resample_uniform(c1, HAUSDORFF_SAMPLES).samples
     b = resample_uniform(c2, HAUSDORFF_SAMPLES).samples
-    d = np.arccos(np.clip(a @ b.T, -1.0, 1.0))
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    dots = a @ b.T
+    to_b = chord_arc(row_norms(a - b[dots.argmax(axis=1)]))
+    to_a = chord_arc(row_norms(b - a[dots.argmax(axis=0)]))
+    return float(max(to_b.max(), to_a.max()))

@@ -155,7 +155,10 @@ def arctan_speed():
 
 
 def affine_arctan(c1, c2):
-    """F = C1 + C2 arctan(H / 2), the admissible family for the pinch phi."""
+    """F = C1 + C2 arctan(H / 2), the admissible family for the pinch phi;
+    ValueError unless C1 and C2 are finite and C2 > 0 (F increases in H)."""
+    if not (np.isfinite(c1) and np.isfinite(c2) and c2 > 0.0):
+        raise ValueError(f"affine_arctan needs finite C1 and C2 > 0, got ({c1}, {c2})")
     return _speed_of_H(candidate_affine_arctan(c1, c2), "affine_arctan", (c1, c2))
 
 

@@ -158,6 +158,19 @@ def test_custom_speed_outside_the_grammar_rejected_at_load(expr, tmp_path):
     assert main(["list", str(p)]) == 1
 
 
+def test_speed_decreasing_in_H_rejected_at_load(tmp_path, capsys):
+    # affine_arctan(0, -1) runs the flow backward: a config error, not a run
+    p = tmp_path / "cfg.cfg"
+    p.write_text(
+        "[sphere]\nkind = flow\nsurface = geodesic_sphere r=1.0 level=2\n"
+        "speed = affine_arctan(0, -1)\nt_end = 0.5\nsigma = 0.5\n"
+    )
+    with pytest.raises(ConfigError, match=r"\[sphere\] bad speed .*C2 > 0, got \(0.0, -1.0\)$"):
+        parse_config(p)
+    assert main(["run", str(p), "sphere", "--output-dir", str(tmp_path)]) == 1
+    assert "bad speed 'affine_arctan(0, -1)'" in capsys.readouterr().err
+
+
 def test_missing_scenario_reported():
     with pytest.raises(ConfigError, match="no scenario"):
         run_scenario(BUNDLED, "does-not-exist")

@@ -24,6 +24,7 @@ from s3flow.flow import (
     sphere_ode_oracle,
 )
 from s3flow.mesh import (
+    Stepper,
     SurfaceMesh,
     estimate_curvature,
     make_clifford_torus,
@@ -148,7 +149,7 @@ def test_flow_config_validation(tmp_path, capsys):
 def test_great_sphere_is_stationary_under_arctan():
     m = make_geodesic_sphere(np.pi / 2, 3)
     st = FlowState(0.0, m, estimate_curvature(m), 0)
-    st2 = flow_step(st, arctan_speed(), 1e-3)
+    st2 = flow_step(st, arctan_speed(), 1e-3, Stepper(m, 2))
     disp = np.max(np.linalg.norm(st2.mesh.vertices - m.vertices, axis=1))
     assert disp < 1e-9
 
@@ -156,7 +157,7 @@ def test_great_sphere_is_stationary_under_arctan():
 def test_clifford_is_discretely_stationary():
     m = make_clifford_torus(32, 32)
     st = FlowState(0.0, m, estimate_curvature(m, order=2), 0)
-    st2 = flow_step(st, arctan_speed(), 1e-3, fit_order=2)
+    st2 = flow_step(st, arctan_speed(), 1e-3, Stepper(m, 2))
     disp = np.max(np.linalg.norm(st2.mesh.vertices - m.vertices, axis=1))
     h = mesh_quality(m).max_edge
     assert disp < h * h
@@ -165,7 +166,7 @@ def test_clifford_is_discretely_stationary():
 def test_single_mcf_step_matches_ode():
     m = make_geodesic_sphere(np.pi / 3, 4)
     st = FlowState(0.0, m, estimate_curvature(m, order=2), 0)
-    st2 = flow_step(st, mcf(), 1e-4, fit_order=2)
+    st2 = flow_step(st, mcf(), 1e-4, Stepper(m, 2))
     dr = mean_radius(st2.mesh) - mean_radius(m)
     expected = -2.0 / np.tan(np.pi / 3) * 1e-4
     assert abs(dr - expected) / abs(expected) < 5e-2
@@ -197,8 +198,9 @@ def test_sphere_mcf_stop_time_matches_closed_form(sphere_mcf_run):
 def test_flow_step_keeps_vertices_on_sphere():
     m = make_perturbed_sphere(np.pi / 3, 3, 0.02, seed=1)
     st = FlowState(0.0, m, estimate_curvature(m, order=2), 0)
+    stepper = Stepper(m, 2)
     for _ in range(5):
-        st = flow_step(st, arctan_speed(), 5e-4, fit_order=2)
+        st = flow_step(st, arctan_speed(), 5e-4, stepper)
     dev = np.max(np.abs(np.linalg.norm(st.mesh.vertices, axis=1) - 1.0))
     assert dev < 1e-12
 
@@ -207,7 +209,7 @@ def test_flow_step_rejects_bad_dt():
     m = make_geodesic_sphere(np.pi / 3, 2)
     st = FlowState(0.0, m, estimate_curvature(m), 0)
     with pytest.raises(ValueError):
-        flow_step(st, mcf(), 0.0)
+        flow_step(st, mcf(), 0.0, Stepper(m, 2))
 
 
 # -- full runs ------------------------------------------------------------
@@ -336,9 +338,10 @@ def test_mesh_degenerate_detected():
     # force huge steps so the mesh folds over itself
     m = make_geodesic_sphere(np.pi / 3, 2)
     st = FlowState(0.0, m, estimate_curvature(m, order=2), 0)
+    stepper = Stepper(m, 2)
     with pytest.raises(MeshDegenerateError):
         for _ in range(50):
-            st = flow_step(st, mcf(), 0.05, fit_order=2)
+            st = flow_step(st, mcf(), 0.05, stepper)
 
 
 def test_nan_speed_stops_as_numerical_failure():
@@ -464,8 +467,8 @@ def started(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     pids = []
 
-    def recording(mesh, order):
-        worker = step_worker(mesh, order)
+    def recording(mesh, order, smoothing):
+        worker = step_worker(mesh, order, smoothing)
         pids.append(worker.pid)
         return worker
 
@@ -590,17 +593,17 @@ def test_split_step_bit_identical_to_serial(case, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     m = build()
     state = FlowState(0.0, m, estimate_curvature(m, order=order), 0)
-    worker = step_worker(m, order)
+    worker = step_worker(m, order, smoothing)
     try:
         assert worker.pid > 0
         split = [state]
         for _ in range(2):  # the second step reuses every buffer of the first
-            split.append(flow_step(split[-1], speed, 1e-3, smoothing, order, worker=worker))
+            split.append(flow_step(split[-1], speed, 1e-3, worker))
     finally:
         worker.close()
     serial = state
     for got in split[1:]:
-        serial = flow_step(serial, speed, 1e-3, smoothing, order)
+        serial = flow_step(serial, speed, 1e-3, Stepper(m, order, smoothing))
         # the serial step's normals, caches and fit are those of its vertices
         fresh = m.with_vertices(serial.mesh.vertices)
         want = estimate_curvature(fresh, order=order)
@@ -620,19 +623,20 @@ def test_error_in_the_worker_half_raised_as_in_the_serial_step(monkeypatch):
     normals[2000] *= 1.1  # a vertex of the worker's half
     bad = FlowState(0.0, m.with_vertices(m.vertices, normals=normals), state.curvature, 0)
     with pytest.raises(ValueError) as serial:
-        flow_step(bad, mcf(), 1e-3, 0.3, 2)
+        flow_step(bad, mcf(), 1e-3, Stepper(m, 2, 0.3))
     assert str(serial.value).startswith("geodesic_step requires unit directions")
-    worker = step_worker(m, 2)
+    worker = step_worker(m, 2, 0.3)
     try:
         assert worker.parts[1][0].start <= 2000
         with pytest.raises(ValueError) as split:
-            flow_step(bad, mcf(), 1e-3, 0.3, 2, worker=worker)
+            flow_step(bad, mcf(), 1e-3, worker)
         # the worker goes on with the next step
-        after = flow_step(state, mcf(), 1e-3, 0.3, 2, worker=worker)
+        after = flow_step(state, mcf(), 1e-3, worker)
     finally:
         worker.close()
     assert str(split.value) == str(serial.value)
-    assert np.array_equal(after.mesh.vertices, flow_step(state, mcf(), 1e-3, 0.3, 2).mesh.vertices)
+    want = flow_step(state, mcf(), 1e-3, Stepper(m, 2, 0.3))
+    assert np.array_equal(after.mesh.vertices, want.mesh.vertices)
 
 
 # the kernel of each phase that may fail, with the rows of one call's output
@@ -664,16 +668,16 @@ def test_phase_rerun_after_a_failed_half_bit_identical_to_serial(kernel, monkeyp
     monkeypatch.setattr(mesh_module, kernel, fails_once_in_the_worker)
     m = make_perturbed_sphere(np.pi / 3, 4, 0.02, seed=1)
     state = FlowState(0.0, m, estimate_curvature(m, order=2), 0)
-    worker = step_worker(m, 2)
+    worker = step_worker(m, 2, 0.3)
     try:
         parent_rows.clear()
-        got = flow_step(state, mcf(), 1e-3, 0.3, 2, worker=worker)
+        got = flow_step(state, mcf(), 1e-3, worker)
         half = worker.parts[0][0].stop
     finally:
         worker.close()
     # the parent's half, then every row
     assert sum(parent_rows) == half + m.n_vertices
-    want = flow_step(state, mcf(), 1e-3, 0.3, 2)
+    want = flow_step(state, mcf(), 1e-3, Stepper(m, 2, 0.3))
     assert np.array_equal(got.mesh.vertices, want.mesh.vertices)
     assert np.array_equal(got.mesh.normals, want.mesh.normals)
     assert np.array_equal(got.mesh.side_lengths(), want.mesh.side_lengths())
@@ -694,11 +698,11 @@ def test_sliver_in_the_worker_half_stops_the_step(monkeypatch):
     state = FlowState(0.0, sliver, estimate_curvature(sliver, order=2), 0)
     still = np.zeros(m.n_vertices)
     with pytest.raises(MeshDegenerateError) as serial:
-        flow_step(state, mcf(), 1e-3, 0.0, 2, speed_values=still)
+        flow_step(state, mcf(), 1e-3, Stepper(sliver, 2), speed_values=still)
     worker = step_worker(sliver, 2)
     try:
         with pytest.raises(MeshDegenerateError) as split:
-            flow_step(state, mcf(), 1e-3, 0.0, 2, worker=worker, speed_values=still)
+            flow_step(state, mcf(), 1e-3, worker, speed_values=still)
     finally:
         worker.close()
     assert str(split.value) == str(serial.value)

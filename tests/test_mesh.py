@@ -389,7 +389,7 @@ def _stepped_sphere():
     lengths are the ones the step cached."""
     m = make_perturbed_sphere(np.pi / 3, 3, 0.05, seed=2)
     offsets = 1e-3 * np.sin(np.arange(m.n_vertices))
-    return Stepper(m, 2).step(m, offsets, 0.3)
+    return Stepper(m, 2, 0.3).step(m, offsets)
 
 
 AREA_MESHES = {
@@ -538,14 +538,14 @@ def test_fit_blocks_independent_of_block_layout(order):
     m = make_perturbed_sphere(np.pi / 3, 3, 0.02, seed=5)
     n = m.n_vertices
     stepper = Stepper(m, order)
-    want = stepper.fit(m, order)
+    want = stepper.fit(m)
     default = fit_block_rows(order, m.topology.two_ring_padded.shape[1])
     assert default == {2: 320, 4: 128}[order]
     # the whole mesh, its two halves (321 rows each) and two other ranges
     for rows in (slice(0, n), slice(0, n // 2), slice(n // 2, n), slice(64, n),
                  slice(321, 600)):
         for block in (1, 37, default, n):
-            out = (np.zeros((n, 3)), np.zeros(n), np.zeros(n, bool))
+            out = tuple(np.zeros_like(a) for a in want)
             _fit_blocks(stepper.new, stepper.normals, m.topology, order, out, rows, block)
             for got, full in zip(out, want):
                 assert np.array_equal(got[rows], full[rows]), (rows, block)
@@ -562,7 +562,7 @@ def test_fit_blocks_of_equal_length(level, order, lengths, monkeypatch):
     # of the default length, of equal lengths to a row
     m = make_geodesic_sphere(np.pi / 3, level)
     stepper = Stepper(m, order)
-    out = stepper.fit(m, order)
+    out = stepper.fit(m)
     fit_block = mesh_module._fit_block
     seen = []
 
@@ -660,6 +660,9 @@ def test_parallel_fit_bit_identical_to_serial(build, order, two_cpus):
     try:
         assert worker.pid > 0
         got = [estimate_curvature(mesh, order=order, worker=worker) for mesh in meshes]
+        # a stepper fits at the order it was made for, and at no other
+        with pytest.raises(ValueError, match=f"^stepper was made for fit order {order}, not "):
+            estimate_curvature(m, order=6 - order, worker=worker)
     finally:
         worker.close()
     for mesh, g in zip(meshes, got):

@@ -354,6 +354,15 @@ def test_hausdorff_distance_basics():
     np.testing.assert_allclose(d, 0.3, atol=1e-2)
 
 
+@pytest.mark.parametrize("curve", [
+    make_latitude_circle(1.0, 96), make_great_circle(axis=(1.0, 2.0, 3.0), n=128),
+], ids=["latitude", "great-123"])
+def test_hausdorff_distance_of_a_curve_to_itself_is_zero(curve):
+    # each pair is measured by its chord: an arccos of the rounded dot
+    # product read 2.58e-8 here
+    assert hausdorff_distance(curve, curve) == 0.0
+
+
 def test_curve_csv_round_trip(tmp_path):
     from s3flow.s2curves import load_curve_csv, save_curve_csv
 

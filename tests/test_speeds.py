@@ -142,6 +142,18 @@ def test_custom_fH_rejects_text_outside_its_grammar(expr):
         custom_fH(expr)
 
 
+@pytest.mark.parametrize("c1, c2", [
+    (0.0, -1.0), (0.0, 0.0), (0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0),
+])
+def test_affine_arctan_rejects_a_speed_not_increasing_in_H(c1, c2):
+    # the admissible family C1 + C2 arctan(H/2) needs C2 > 0; a C2 <= 0
+    # would run the flow backward, which is ill-posed
+    with pytest.raises(ValueError, match=r"^affine_arctan needs finite C1 and C2 > 0, got "):
+        affine_arctan(c1, c2)
+    with pytest.raises(ValueError, match=r"^affine_arctan needs finite C1 and C2 > 0, got "):
+        make_speed(f"affine_arctan({c1}, {c2})")
+
+
 # -- Z term --------------------------------------------------------------
 
 

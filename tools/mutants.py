@@ -5,8 +5,8 @@
 Each row of ``MUTANTS`` names a mutant, a file of the repository, the
 original text (it must occur exactly once in that file), the mutant text,
 and the ids of the tests that must fail when the original is replaced by
-the mutant.  The script copies ``src/``, ``tests/`` and ``examples.cfg``
-(which the tests read) into a temporary directory and first runs every
+the mutant.  The script copies ``src/``, ``tests/``, ``examples.cfg`` and
+``demos/`` (which the tests read) into a temporary directory and first runs every
 listed test there unmutated: they must all pass.  Then, for one mutant at
 a time, it makes the replacement in a fresh copy and runs
 
@@ -34,7 +34,7 @@ import tempfile
 from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COPIED = ("src", "tests", "examples.cfg")
+COPIED = ("src", "tests", "examples.cfg", "demos")
 
 
 @dataclass
@@ -51,7 +51,7 @@ SPEEDS, CURVES = "src/s3flow/speeds.py", "src/s3flow/s2curves.py"
 CORE = "src/s3flow/s3core.py"
 T_CLI, T_FLOW, T_MESH = "tests/test_cli.py", "tests/test_flow.py", "tests/test_mesh.py"
 T_CURVES, T_CORE = "tests/test_s2curves.py", "tests/test_s3core.py"
-T_GOLDEN = "tests/test_golden.py"
+T_GOLDEN, T_SPEEDS = "tests/test_golden.py", "tests/test_speeds.py"
 
 MUTANTS = [
     # the flagged-vertex fallback, the step worker and NumericalFailure
@@ -70,8 +70,8 @@ MUTANTS = [
            "count = max(1, round(r / block))", "count = -(-r // block)",
            (f"{T_MESH}::test_fit_blocks_of_equal_length",)),
     Mutant("the last equal block's bound off by one", MESH,
-           "rows.start + r * (i + 1) // count)",
-           "rows.start + r * (i + 1) // count - (i == count - 1))",
+           "ends = [rows.start + r * i // count for i in range(count + 1)]",
+           "ends = [rows.start + r * i // count - (i == count) for i in range(count + 1)]",
            (f"{T_MESH}::test_fit_blocks_independent_of_block_layout",)),
     Mutant("worker pinned to the lowest CPU", MESH,
            "min(cpus - {_current_cpu()})", "min(cpus)",
@@ -151,7 +151,7 @@ MUTANTS = [
            "        if isinstance(node, ast.Attribute):\n"
            "            return lambda h: getattr(build(node.value)(h), node.attr)\n"
            "        raise ValueError(f\"custom_fH: {ast.unparse(node)!r} is not allowed\")",
-           ("tests/test_speeds.py::test_custom_fH_rejects_text_outside_its_grammar",)),
+           (f"{T_SPEEDS}::test_custom_fH_rejects_text_outside_its_grammar",)),
     Mutant("a key its kind does not read accepted", CLI,
            "            if key not in _READS[sc.kind] and key not in cp.defaults():\n",
            "            if False:\n",
@@ -204,7 +204,7 @@ MUTANTS = [
            "        if self.fit_order not in (2, 4):\n", "        if False:\n",
            (f"{T_CLI}::test_malformed_config_diagnostic",)),
     Mutant("the initial mesh not checked", FLOW,
-           "        worker.check(mesh0)\n", "",
+           "        stepper.check(mesh0)\n", "",
            (f"{T_FLOW}::test_initial_mesh_passes_the_quality_check",)),
     Mutant("triangle indices parsed as floats", CLI,
            'records("t", np.int64)', 'records("t", float)',
@@ -312,6 +312,41 @@ MUTANTS = [
            "    return psi, 0.5 * (gaps + np.concatenate([gaps[-1:], gaps[:-1]])), t_in, t_out\n",
            "    return psi, gaps, t_in, t_out\n",
            (f"{T_CURVES}::test_turning_matches_log_map_reference",)),
+    Mutant("Hausdorff through arccos again", CURVES,
+           "    dots = a @ b.T\n"
+           "    to_b = chord_arc(row_norms(a - b[dots.argmax(axis=1)]))\n"
+           "    to_a = chord_arc(row_norms(b - a[dots.argmax(axis=0)]))\n"
+           "    return float(max(to_b.max(), to_a.max()))\n",
+           "    d = np.arccos(np.clip(a @ b.T, -1.0, 1.0))\n"
+           "    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))\n",
+           (f"{T_CURVES}::test_hausdorff_distance_of_a_curve_to_itself_is_zero",)),
+    # the stepper's settings, fixed when it is made, and the fit's flags
+    Mutant("a stepper fitting at its own order whatever it is asked", MESH,
+           "    elif worker.order != order:\n", "    elif False:\n",
+           (f"{T_MESH}::test_parallel_fit_bit_identical_to_serial",)),
+    Mutant("the worker's half smoothed at strength 0", MESH,
+           "                                         self.smoothing, v)",
+           "                                         self.smoothing * (part != 1), v)",
+           (f"{T_FLOW}::test_split_step_bit_identical_to_serial",)),
+    Mutant("the fit's flags without the condition limit", MESH,
+           " | ~np.isfinite(cond) | (cond > COND_LIMIT)", " | ~np.isfinite(cond)",
+           (f"{T_FLOW}::test_vertices_with_no_unflagged_neighbour_stop_the_run",)),
+    Mutant("order-2 fit's quadric column x (1 + 1e-3)", MESH,
+           "    np.multiply(u2, 0.5, out=cols[:, m - 3])\n",
+           "    np.multiply(u2, 0.5 * (1.0 + 1e-3 * (order < 4)), out=cols[:, m - 3])\n",
+           (f"{T_MESH}::test_gauss_bonnet_residual_falls_with_the_mesh",)),
+    # the admissible speeds and the names the demos import
+    Mutant("affine_arctan accepting C2 <= 0", SPEEDS,
+           "np.isfinite(c2) and c2 > 0.0):", "np.isfinite(c2)):",
+           (f"{T_SPEEDS}::test_affine_arctan_rejects_a_speed_not_increasing_in_H",
+            f"{T_CLI}::test_speed_decreasing_in_H_rejected_at_load")),
+    # conftest imports the package, so the renamed name is one only a demo
+    # and the Gauss-map tests import
+    Mutant("a name that demo 03 imports renamed", "src/s3flow/gaussmaps.py",
+           "def degeneracy_measure(points) -> float:",
+           "def degeneracy(points) -> float:",
+           ("tests/test_demos.py::test_every_name_a_demo_imports_from_s3flow_exists"
+            "[03_flat_tori_and_gauss_maps.py]",)),
 ]
 
 
