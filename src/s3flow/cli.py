@@ -144,6 +144,8 @@ def parse_config(path):
         for fmt in sc.exports:
             if fmt not in _EXPORTS:
                 raise ConfigError(f"{path}: [{section}] unknown export format {fmt!r}")
+        if sc.kind == "flow" and sc.exports and not sc.snapshot_every >= 1:
+            raise ConfigError(f"{path}: [{section}] exports need snapshot_every of at least 1")
         scenarios[section] = sc
     return scenarios
 

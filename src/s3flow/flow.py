@@ -70,6 +70,8 @@ class FlowConfig:
                 raise ValueError(f"{name} must be positive")
         if self.cadence < 1:
             raise ValueError("cadence must be at least 1")
+        if not self.snapshot_every >= 0:
+            raise ValueError("snapshot_every must be at least 0")
         if not self.smoothing >= 0.0:
             raise ValueError("smoothing must be at least 0")
         if self.fit_order not in (2, 4):

@@ -144,9 +144,7 @@ def _arctan_partials(k1, k2):
 
 def mcf():
     """Mean curvature flow, F = H = kappa1 + kappa2."""
-    return SpeedFunction(
-        "mcf", np.add, partials=lambda k1, k2: (np.ones_like(k1 * 1.0), np.ones_like(k2 * 1.0))
-    )
+    return _speed_of_H(Profile(lambda h: h, np.ones_like, np.zeros_like, "H"), "mcf", ())
 
 
 def arctan_speed():
@@ -259,7 +257,8 @@ def phi_pinch() -> Profile:
 
 
 def phi_constant(c) -> Profile:
-    if c <= 0:
+    """phi(H) = c; ValueError unless c > 0."""
+    if not c > 0:
         raise ValueError("phi must be positive")
     return Profile(
         f=lambda h: np.full_like(np.asarray(h, dtype=float), float(c)),
@@ -269,34 +268,17 @@ def phi_constant(c) -> Profile:
     )
 
 
-@dataclass(frozen=True)
-class HGSpeed:
-    """A speed written as f(H, G) with G = (kappa1-kappa2)^2 - phi(H)^2."""
-
-    value: Callable
-    dH: Callable
-    dG: Callable = None
-    name: str = "f"
-
-
-def hg_from_fH(f: Profile) -> HGSpeed:
-    """Wrap a speed depending on H alone as an :class:`HGSpeed`."""
-    return HGSpeed(
-        value=lambda h, g: np.asarray(f.f(h), dtype=float),
-        dH=lambda h, g: np.asarray(f.d1(h), dtype=float),
-        name=f.name,
-    )
-
-
-def z_term(f: HGSpeed, phi: Profile, k1, k2):
-    """The reaction term of the evolution of G, in its two printed routes.
+def z_term(f: Profile, phi: Profile, k1, k2, f_G=None):
+    """The reaction term of the evolution of G under the speed f(H), in its
+    two printed routes.
 
     Route A contracts the curvature tensor expression
 
         Z = F (G1 (1 + k1^2) + G2 (1 + k2^2))
             + (1 + k1 k2)(k2 - k1)(G1 F2 - F1 G2),
 
-    with Gi = dG/dki = +-2(k1 - k2) - 2 phi phi' and Fi = f_H + f_G Gi.
+    with Gi = dG/dki = +-2(k1 - k2) - 2 phi phi' and Fi = f_H + f_G Gi, where
+    f_G is 0 unless ``f_G(H, G)`` is given.
 
     Route B evaluates the closed-form reduction in (H, lambda = k1 - k2):
 
@@ -321,11 +303,9 @@ def z_term(f: HGSpeed, phi: Profile, k1, k2):
             "singular (H, G) chart: kappa1 = kappa2 with phi'(H) = 0 makes "
             "the gradient of G vanish identically"
         )
-    g_fg = lam * lam - ph * ph
-
-    fv = np.asarray(f.value(h, g_fg), dtype=float)
-    fh = np.asarray(f.dH(h, g_fg), dtype=float)
-    fg = np.asarray(f.dG(h, g_fg), dtype=float) if f.dG is not None else 0.0
+    fv = np.asarray(f.f(h), dtype=float)
+    fh = np.asarray(f.d1(h), dtype=float)
+    fg = np.asarray(f_G(h, lam * lam - ph * ph), dtype=float) if f_G is not None else 0.0
 
     g1 = 2.0 * lam - 2.0 * ph * dp
     g2 = -2.0 * lam - 2.0 * ph * dp
@@ -362,11 +342,11 @@ def admissibility_bounds(phi: Profile, h):
     """
     h = np.asarray(h, dtype=float)
     ph = np.asarray(phi.f(h), dtype=float)
-    if np.any(ph <= 0.0):
+    if not np.all(ph > 0.0):
         raise ValueError("phi must be positive")
     p = np.asarray(phi.d1(h), dtype=float)
     pp = np.asarray(phi.d2(h), dtype=float)
-    if np.any(np.abs(p) > 1.0 + 1e-12):
+    if not np.all(np.abs(p) <= 1.0 + 1e-12):
         raise ValueError("admissibility bounds assume |phi'| <= 1")
     if np.any(np.abs(np.abs(p) - 1.0) < 1e-14):
         warnings.warn(
@@ -418,8 +398,8 @@ def check_admissible(f: Profile, phi: Profile, h_samples, tol=1e-9):
     """
     h = np.asarray(h_samples, dtype=float)
     fp = np.asarray(f.d1(h), dtype=float)
-    if np.any(fp <= 0.0):
-        raise ValueError(f"candidate '{f.name}' is not strictly monotone (f' <= 0)")
+    if not np.all(fp > 0.0):
+        raise ValueError(f"candidate '{f.name}' is not strictly monotone (f' > 0 fails)")
     ratio = np.asarray(f.d2(h), dtype=float) / fp
     lower, upper = admissibility_bounds(phi, h)
     margin = np.minimum(ratio - lower, upper - ratio)

@@ -29,7 +29,6 @@ from s3flow.speeds import (
     arctan_speed,
     candidate_affine_arctan,
     check_admissible,
-    hg_from_fH,
     phi_pinch,
     z_term,
 )
@@ -76,7 +75,7 @@ def test_criterion_01_admissibility_pinch():
 
 def test_criterion_02_z_term_identity():
     t0 = time.perf_counter()
-    f = hg_from_fH(candidate_affine_arctan(0.0, 2.0))
+    f = candidate_affine_arctan(0.0, 2.0)
     rng = np.random.default_rng(4321)
     k1 = rng.uniform(-3, 3, 50000)
     k2 = rng.uniform(-3, 3, 50000)

@@ -453,6 +453,27 @@ def test_flow_scenario_exports_and_reproducibility(tmp_path):
                      "snapshot_00000.raw4", "snapshot_00000.vtk"]
 
 
+def test_exports_without_a_snapshot_cadence_rejected(tmp_path, capsys):
+    # exports write only snapshots, so without a cadence of at least 1 they
+    # would write nothing: a config error before the run starts
+    p = tmp_path / "cfg.cfg"
+    sphere = "kind = flow\nsurface = geodesic_sphere r=1.0 level=1\n"
+    message = "[s] exports need snapshot_every of at least 1"
+    for line in ("", "snapshot_every = 0\n", "snapshot_every = -3\n"):
+        p.write_text(f"[s]\n{sphere}exports = raw4\n{line}")
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            parse_config(str(p))
+        assert main(["run", str(p), "s", "--output-dir", str(tmp_path / "out")]) == 1, line
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+    assert not (tmp_path / "out").exists()
+    # without exports snapshot_every is not read; a DEFAULT exports does not
+    # reach a curve run, which has no snapshots
+    p.write_text(f"[DEFAULT]\nexports = raw4\n[c]\nkind = csf\n"
+                 f"curve = latitude_circle theta=1.0 n=32\n[s]\n{sphere}snapshot_every = 2\n"
+                 f"[n]\n{sphere}exports =\nsnapshot_every = -3\n")
+    assert set(parse_config(str(p))) == {"c", "s", "n"}
+
+
 def test_condition_breached_exits_2(tmp_path):
     # the discrete Clifford torus has min_G just below zero, so a floor of
     # 1e-9 is breached at step 0

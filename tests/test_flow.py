@@ -137,6 +137,8 @@ def test_flow_config_validation(tmp_path, capsys):
         FlowConfig(speed=mcf(), t_end=1.0, speed_tol=0.0)
     with pytest.raises(ValueError, match="^cadence must be at least 1$"):
         FlowConfig(speed=mcf(), t_end=1.0, cadence=0)
+    with pytest.raises(ValueError, match="^snapshot_every must be at least 0$"):
+        FlowConfig(speed=mcf(), t_end=1.0, snapshot_every=-3)
     p = tmp_path / "cfg.cfg"
     p.write_text("[s]\nkind = flow\nsurface = geodesic_sphere r=1.0 level=1\ncadence = 0\n")
     assert main(["run", str(p), "s", "--output-dir", str(tmp_path)]) == 1

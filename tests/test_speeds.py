@@ -9,7 +9,6 @@ from s3flow.speeds import (
     candidate_affine_arctan,
     check_admissible,
     custom_fH,
-    hg_from_fH,
     make_speed,
     mcf,
     phi_constant,
@@ -18,7 +17,7 @@ from s3flow.speeds import (
     z_term,
 )
 
-F_ARCTAN_HG = hg_from_fH(candidate_affine_arctan(0.0, 2.0))  # 2 arctan(H/2)
+F_ARCTAN = candidate_affine_arctan(0.0, 2.0)  # 2 arctan(H/2)
 
 
 # -- plain speeds --------------------------------------------------------
@@ -106,6 +105,12 @@ def test_make_speed_registry():
     assert np.array_equal(s.eval(k1, k2), 0.3 + 2.5 * np.arctan(0.5 * (k1 + k2)))
     for d in s.partials(k1, k2):
         assert np.array_equal(d, 2 * 2.5 / (4 + h * h))
+    # MCF is F = k1 + k2 with both partials 1, to the bit, also at 0-d input
+    m = make_speed("mcf")
+    for a, b in ((k1, k2), (np.float64(0.3), np.float64(-1.7))):
+        assert np.array_equal(m.eval(a, b), a + b)
+        for d in m.partials(a, b):
+            assert np.shape(d) == np.shape(a) and np.all(d == 1.0)
     c = make_speed("custom_fH(H**3 + H)")
     np.testing.assert_allclose(c.eval(1.0, 1.0), 2.0 ** 3 + 2.0)
     with pytest.raises(ValueError):
@@ -159,13 +164,13 @@ def test_affine_arctan_rejects_a_speed_not_increasing_in_H(c1, c2):
 
 def test_z_vanishes_on_zero_intrinsic_curvature():
     kk = np.concatenate([np.linspace(0.3, 3, 500), -np.linspace(0.3, 3, 500)])
-    za, zb = z_term(F_ARCTAN_HG, phi_pinch(), kk, -1.0 / kk)
+    za, zb = z_term(F_ARCTAN, phi_pinch(), kk, -1.0 / kk)
     assert np.max(np.abs(za)) < 1e-10
     assert np.max(np.abs(zb)) < 1e-10
 
 
 def test_z_at_clifford_point():
-    za, zb = z_term(F_ARCTAN_HG, phi_pinch(), np.array([1.0]), np.array([-1.0]))
+    za, zb = z_term(F_ARCTAN, phi_pinch(), np.array([1.0]), np.array([-1.0]))
     assert abs(za[0]) < 1e-10 and abs(zb[0]) < 1e-10
 
 
@@ -173,18 +178,18 @@ def test_z_umbilic_value():
     # at (1, 1) with f = 2 arctan(H/2): G1 = G2 = -2 phi phi' = -4, so
     # Z = f * (G1 + G2) * (1 + 1) = (pi/2) * (-16) = -8 pi; the second
     # summand vanishes because kappa2 - kappa1 = 0
-    za, zb = z_term(F_ARCTAN_HG, phi_pinch(), np.array([1.0]), np.array([1.0]))
+    za, zb = z_term(F_ARCTAN, phi_pinch(), np.array([1.0]), np.array([1.0]))
     np.testing.assert_allclose(za, -8 * np.pi, atol=1e-10)
     np.testing.assert_allclose(zb, -8 * np.pi, atol=1e-10)
 
 
 def test_z_umbilic_second_summand_vanishes():
     k = np.array([0.7])
-    za, _ = z_term(F_ARCTAN_HG, phi_pinch(), k, k)
+    za, _ = z_term(F_ARCTAN, phi_pinch(), k, k)
     h = 2 * k
     phi = phi_pinch()
     g1 = -2.0 * phi.f(h) * phi.d1(h)
-    first_only = F_ARCTAN_HG.value(h, None) * g1 * (2.0 + 2.0 * k * k)
+    first_only = F_ARCTAN.f(h) * g1 * (2.0 + 2.0 * k * k)
     np.testing.assert_allclose(za, first_only, atol=1e-12)
 
 
@@ -194,7 +199,7 @@ def test_z_forms_agree_on_positive_curvature():
     k2 = rng.uniform(-3, 3, 40000)
     keep = 1.0 + k1 * k2 > 1e-6
     k1, k2 = k1[keep][:10000], k2[keep][:10000]
-    za, zb = z_term(F_ARCTAN_HG, phi_pinch(), k1, k2)
+    za, zb = z_term(F_ARCTAN, phi_pinch(), k1, k2)
     rel = np.abs(za - zb) / np.maximum(np.abs(za), 1e-30)
     assert np.max(rel) < 1e-8
 
@@ -204,21 +209,14 @@ def test_z_form_a_is_insensitive_to_f_G():
     rng = np.random.default_rng(21)
     k1 = rng.uniform(0.2, 2, 200)
     k2 = rng.uniform(0.2, 2, 200)
-    from s3flow.speeds import HGSpeed
-
-    with_fg = HGSpeed(
-        value=lambda h, g: 2 * np.arctan(0.5 * h),
-        dH=lambda h, g: 4.0 / (4.0 + h * h),
-        dG=lambda h, g: 0.37 * np.ones_like(h),
-    )
-    za1, _ = z_term(F_ARCTAN_HG, phi_pinch(), k1, k2)
-    za2, _ = z_term(with_fg, phi_pinch(), k1, k2)
+    za1, _ = z_term(F_ARCTAN, phi_pinch(), k1, k2)
+    za2, _ = z_term(F_ARCTAN, phi_pinch(), k1, k2, f_G=lambda h, g: 0.37 * np.ones_like(h))
     np.testing.assert_allclose(za1, za2, atol=1e-10)
 
 
 def test_z_singular_chart_rejected():
     with pytest.raises(ValueError, match="singular"):
-        z_term(F_ARCTAN_HG, phi_pinch(), 0.0, 0.0)
+        z_term(F_ARCTAN, phi_pinch(), 0.0, 0.0)
 
 
 # -- admissibility -------------------------------------------------------
@@ -236,6 +234,18 @@ def test_pinch_bounds_point_values():
     lo, up = admissibility_bounds(phi_pinch(), np.array([0.0, 2.0]))
     np.testing.assert_allclose([lo[0], up[0]], 0.0, atol=1e-15)
     np.testing.assert_allclose([lo[1], up[1]], -0.5, atol=1e-14)
+
+
+def test_a_nan_or_non_positive_phi_rejected():
+    for c in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="^phi must be positive$"):
+            phi_constant(c)
+    nan = Profile(lambda h: np.full_like(h, np.nan), np.zeros_like, np.zeros_like, "nan")
+    with pytest.raises(ValueError, match="^phi must be positive$"):
+        admissibility_bounds(nan, np.array([0.0, 1.0]))
+    nan_slope = Profile(np.ones_like, lambda h: np.full_like(h, np.nan), np.zeros_like, "nan'")
+    with pytest.raises(ValueError, match=r"^admissibility bounds assume \|phi'\| <= 1$"):
+        admissibility_bounds(nan_slope, np.array([0.0, 1.0]))
 
 
 def test_constant_phi_bounds():
@@ -293,6 +303,9 @@ def test_non_monotone_candidate_rejected():
     )
     with pytest.raises(ValueError, match="monotone"):
         check_admissible(cand, phi_pinch(), np.array([0.0]))
+    # f' is NaN where H < 0
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="monotone"):
+        check_admissible(Profile.from_callable(np.sqrt), phi_pinch(), np.linspace(-1, 1, 5))
 
 
 def test_phi_degenerate_warning():

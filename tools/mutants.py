@@ -196,6 +196,9 @@ MUTANTS = [
     Mutant("cadence 0 accepted", FLOW,
            "        if self.cadence < 1:\n", "        if self.cadence < 0:\n",
            (f"{T_FLOW}::test_flow_config_validation",)),
+    Mutant("a negative snapshot_every accepted", FLOW,
+           "        if not self.snapshot_every >= 0:\n", "        if False:\n",
+           (f"{T_FLOW}::test_flow_config_validation",)),
     Mutant("a positive-setting check back to <= 0.0", FLOW,
            "            if not getattr(self, name) > 0.0:\n",
            "            if getattr(self, name) <= 0.0:\n",
@@ -214,8 +217,9 @@ MUTANTS = [
            (f"{T_CLI}::test_build_surface_and_curve_specs",)),
     # the MCF speed off by 10%, which the RK4 oracle integrates along with the flow
     Mutant("MCF speed 10% fast", SPEEDS,
-           '"mcf", np.add,', '"mcf", lambda k1, k2: 1.1 * (k1 + k2),',
-           (f"{T_FLOW}::test_sphere_mcf_run_matches_closed_form",)),
+           "Profile(lambda h: h, np.ones_like", "Profile(lambda h: 1.1 * h, np.ones_like",
+           (f"{T_FLOW}::test_sphere_mcf_run_matches_closed_form",
+            f"{T_SPEEDS}::test_make_speed_registry")),
     # the tables of the scenario runner
     Mutant("a Scenario flow default retyped", CLI,
            "sigma: float = FlowConfig.sigma", "sigma: float = 0.3",
@@ -228,6 +232,12 @@ MUTANTS = [
            '"snapshot_every": sc.snapshot_every if sc.exports else 0,',
            '"snapshot_every": sc.snapshot_every,',
            (f"{T_CLI}::test_every_flow_key_reaches_flow_config",)),
+    Mutant("exports accepted without snapshot_every", CLI,
+           "and not sc.snapshot_every >= 1:", "and not sc.snapshot_every >= 0:",
+           (f"{T_CLI}::test_exports_without_a_snapshot_cadence_rejected",)),
+    Mutant("the exports check applied to a curve run", CLI,
+           'if sc.kind == "flow" and sc.exports and', "if sc.exports and",
+           (f"{T_CLI}::test_exports_without_a_snapshot_cadence_rejected",)),
     Mutant("obj3 suffix changed", CLI,
            '"obj3": (".obj", _export_obj3)', '"obj3": (".obj3", _export_obj3)',
            (f"{T_CLI}::test_flow_scenario_exports_and_reproducibility",)),
@@ -340,6 +350,23 @@ MUTANTS = [
            "np.isfinite(c2) and c2 > 0.0):", "np.isfinite(c2)):",
            (f"{T_SPEEDS}::test_affine_arctan_rejects_a_speed_not_increasing_in_H",
             f"{T_CLI}::test_speed_decreasing_in_H_rejected_at_load")),
+    Mutant("phi_constant accepting NaN", SPEEDS,
+           "    if not c > 0:\n", "    if c <= 0:\n",
+           (f"{T_SPEEDS}::test_a_nan_or_non_positive_phi_rejected",)),
+    Mutant("admissibility bounds of a NaN phi", SPEEDS,
+           "    if not np.all(ph > 0.0):\n", "    if np.any(ph <= 0.0):\n",
+           (f"{T_SPEEDS}::test_a_nan_or_non_positive_phi_rejected",)),
+    Mutant("admissibility bounds of a NaN phi'", SPEEDS,
+           "    if not np.all(np.abs(p) <= 1.0 + 1e-12):\n",
+           "    if np.any(np.abs(p) > 1.0 + 1e-12):\n",
+           (f"{T_SPEEDS}::test_a_nan_or_non_positive_phi_rejected",)),
+    Mutant("a candidate with a NaN f' judged", SPEEDS,
+           "    if not np.all(fp > 0.0):\n", "    if np.any(fp <= 0.0):\n",
+           (f"{T_SPEEDS}::test_non_monotone_candidate_rejected",)),
+    # the reaction term Z: f_G cancels from route A only with the printed signs
+    Mutant("route A's F2 with f_G of the wrong sign", SPEEDS,
+           "    f2 = fh + fg * g2\n", "    f2 = fh - fg * g2\n",
+           (f"{T_SPEEDS}::test_z_form_a_is_insensitive_to_f_G",)),
     # conftest imports the package, so the renamed name is one only a demo
     # and the Gauss-map tests import
     Mutant("a name that demo 03 imports renamed", "src/s3flow/gaussmaps.py",
